@@ -25,8 +25,10 @@ Zones:
   comprehension (hoisting to before the loop is always possible and is
   the idiom ``_float_rows`` uses).
 
-``Circuit.probability_batch`` is deliberately *not* a zone: it is the
-documented mixed dispatcher between the two kernels.
+``Circuit.probability_batch`` is not a zone: it only hands its lanes
+to the tape, whose exact kernel (``Tape._eval_exact`` and its
+``_exact_*`` helpers) sits in the exact zone by name and whose float
+kernels sit in the float zone.
 """
 
 from __future__ import annotations

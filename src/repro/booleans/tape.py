@@ -1,26 +1,31 @@
-"""Flat instruction tapes: the vectorized evaluation engine.
-
-``Circuit.probability_batch`` walks a hash-consed node-object graph —
-tuple unpacking, pointer chasing, and a Python-level dispatch per node
-per weight vector.  For the sweep-shaped workloads this repo actually
-runs (the Eq. 20 endpoint grids, theta-sweeps, interpolation points,
-the service's coalesced batches) that interpreter is the dominant cost
-once compilation is cached.
+"""Flat instruction tapes: the evaluator for every Pr(F).
 
 This module lowers a compiled :class:`~repro.booleans.circuit.Circuit`
 *once* into a :class:`Tape` — parallel arrays of opcodes, operand index
 ranges, and a literal→slot table — and evaluates the tape with two
-kernels over the identical instruction stream:
+kernels over the identical instruction stream.  ``Circuit.probability``
+and ``Circuit.probability_batch`` both run here, exact or float:
 
 * a **float kernel** that processes all k weight vectors of a batch as
   contiguous lanes: one (slots x k) weight matrix, one vector operation
   per instruction.  It uses numpy when importable and falls back to a
   pure-stdlib ``array('d')`` loop, so the core stays dependency-free;
-* an **exact kernel** computing in ``Fraction``s, bit-identical to the
-  node interpreter (the tape performs the *same* arithmetic — an
-  ``("ite", v, hi, lo)`` node lowers to ``p*hi + (1-p)*lo`` spelled as
-  ``OR(AND(LIT, hi), AND(NEG, lo))`` — and Fraction arithmetic is
-  exact, so association order cannot introduce drift).
+* an **exact kernel** on lazily normalized integers.  Each register
+  holds an unreduced ``(num, den)`` pair of ints — one scalar pair
+  while all k lanes agree, per-lane lists once they diverge (sweeps
+  vary a handful of variables, so most of the tape runs once, not k
+  times).  AND multiplies numerators and denominators and stops at a
+  zero numerator; NEG is ``den - num``; OR adds numerators over equal
+  denominators and otherwise combines over their lcm.  Exactly one
+  ``Fraction`` is built per lane, at the root, and ``Fraction`` is
+  canonical, so the result is bit-identical to any other exact
+  evaluation (the per-node ``Circuit._forward``, say).
+
+  Integer sizes stay bounded without any renormalization: AND operands
+  mention pairwise disjoint variables (decomposability) and OR takes
+  the lcm of its operands' denominators, so by induction every
+  register's denominator divides the product of the weight
+  denominators of the variables beneath it — however deep the circuit.
 
 Lowering rules (one pass over the topologically ordered node table):
 
@@ -33,11 +38,12 @@ Lowering rules (one pass over the topologically ordered node table):
   Constant branches peephole away: ``lo = false`` yields just
   ``AND(LIT, hi)``, ``hi = true`` yields ``OR(LIT, AND(NEG, lo))``.
 
-``LIT``/``NEG`` registers are hash-consed per slot and the slot table
-is assigned in first-use order over the (deterministic) node table, so
-the tape — and its ``to_bytes`` serialization — is byte-identical
-across runs and ``PYTHONHASHSEED`` values, the same contract the
-circuit serialization already honours.
+``LIT``/``NEG`` registers are hash-consed per slot, slots are interned
+by the type-tagged ``token_key`` (so ``True`` and ``1`` stay distinct
+variables), and the slot table is assigned in first-use order over the
+(deterministic) node table, so the tape — and its ``to_bytes``
+serialization — is byte-identical across runs and ``PYTHONHASHSEED``
+values, the same contract the circuit serialization already honours.
 
 ``tape_for_circuit`` memoizes the flattened tape on the circuit object
 itself (circuits are immutable, so the tape lives exactly as long as
@@ -59,9 +65,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from repro.booleans.circuit import (
-    AND, FALSE, HALF, ITE, LEAF, ONE, TRUE, ZERO, Circuit,
-    UnsupportedVersionError, WeightOverlay, decode_token, encode_token,
-    make_lookup,
+    AND, FALSE, HALF, ITE, LEAF, TRUE, Circuit, UnsupportedVersionError,
+    WeightOverlay, decode_token, encode_token, token_key,
 )
 from repro import obs
 
@@ -99,6 +104,41 @@ def reset_tape_stats() -> None:
     with _LOCK:
         for key in _STATS:
             _STATS[key] = 0
+
+
+def _as_float(value, var, lane) -> float:
+    """One float lane weight; non-finite weights are refused."""
+    weight = float(value)
+    if not math.isfinite(weight):
+        raise ValueError(
+            f"non-finite weight {weight!r} for variable {var!r} in "
+            f"float lane {lane}; float sweeps require finite weights "
+            f"(use numeric='exact' for symbolic inputs)")
+    return weight
+
+
+def _as_ratio(value, var, lane) -> tuple:
+    """One exact lane weight as a ``(num, den)`` pair, ``den > 0``."""
+    q = value if type(value) is Fraction else Fraction(value)
+    return q.numerator, q.denominator
+
+
+def _exact_lane_sum(an, ad, bn, bd) -> tuple:
+    """Lane-wise ``an/ad + bn/bd`` over the lcm of the denominators."""
+    if ad == bd:
+        return [x + y for x, y in zip(an, bn)], ad
+    gcd = math.gcd
+    out_n: list = []
+    out_d: list = []
+    for x, p, y, q in zip(an, ad, bn, bd):
+        if p == q:
+            out_n.append(x + y)
+            out_d.append(p)
+        else:
+            g = gcd(p, q)
+            out_n.append(x * (q // g) + y * (p // g))
+            out_d.append(p // g * q)
+    return out_n, out_d
 
 
 class Tape:
@@ -173,7 +213,7 @@ class Tape:
             raise ValueError(
                 f"root register {self.root!r} out of range")
         n_slots = len(slots)
-        if len(set(slots)) != n_slots:
+        if len({token_key(var) for var in slots}) != n_slots:
             raise ValueError("corrupt tape: duplicate variables in "
                              "the literal-slot table")
         next_slot = 0  # first-use discipline: LITs reveal 0,1,2,...
@@ -244,10 +284,10 @@ class Tape:
         mapping, a callable, or ``None``, with mapping misses falling
         back to ``default`` (1/2 when unspecified), exactly as in
         ``Circuit.probability_batch``.  ``numeric="exact"`` runs the
-        Fraction kernel (bit-identical to the node interpreter);
-        ``numeric="float"`` runs the vectorized lane kernel — numpy
-        when importable, stdlib arrays otherwise — and rejects
-        non-finite weights with a ``ValueError`` naming the lane.
+        integer kernel and returns ``Fraction``s; ``numeric="float"``
+        runs the vectorized lane kernel — numpy when importable,
+        stdlib arrays otherwise — and rejects non-finite weights with
+        a ``ValueError`` naming the lane.
         """
         with obs.span("kernel", numeric=numeric,
                       lanes=len(weight_specs)):
@@ -260,22 +300,23 @@ class Tape:
             raise ValueError(
                 f"numeric must be 'exact' or 'float', got {numeric!r}")
 
-    def _float_rows(self, weight_specs, default) -> list:
-        """Per-slot float rows, conversion-memoized by object identity.
+    def _slot_rows(self, weight_specs, default, convert) -> list:
+        """Per-slot rows of converted lane weights, ``convert(value,
+        var, lane)`` memoized by object identity.
 
         Sweep grids repeat weight objects heavily across lanes — each
         lane typically overlays a handful of variables on a shared
-        base map — and ``float(Fraction)`` costs an order of magnitude
-        more than the dict probe that fetched it, so conversions are
-        memoized by ``id``.  The memo keeps every source object alive
-        for the duration of the pass, so an id cannot be recycled onto
-        a different value mid-build.  Mapping specs are probed through
-        ``dict.get`` directly (no per-call closure); callables keep
-        the node interpreter's calling convention.
+        base map — and converting a ``Fraction`` costs an order of
+        magnitude more than the dict probe that fetched it, so
+        conversions are memoized by ``id``.  The memo keeps every
+        source object alive for the duration of the pass, so an id
+        cannot be recycled onto a different value mid-build.  Mapping
+        specs are probed through ``dict.get`` directly (no per-call
+        closure); callables are called with the variable.
         """
         if weight_specs and all(type(spec) is WeightOverlay
                                 for spec in weight_specs):
-            rows = self._overlay_rows(weight_specs, default)
+            rows = self._overlay_rows(weight_specs, default, convert)
             if rows is not None:
                 return rows
         fallback = HALF if default is None else Fraction(default)
@@ -287,7 +328,6 @@ class Tape:
                 table = spec if type(spec) is dict else dict(spec or {})
                 probes.append(table.get)
         memo: dict = {}
-        isfinite = math.isfinite
         rows = []
         for var in self.slots:
             row: list = []
@@ -298,19 +338,13 @@ class Tape:
                 if hit is not None:
                     ap(hit[1])
                     continue
-                weight = float(value)
-                if not isfinite(weight):
-                    raise ValueError(
-                        f"non-finite weight {weight!r} for variable "
-                        f"{var!r} in float lane {len(row)}; float "
-                        f"sweeps require finite weights (use "
-                        f"numeric='exact' for symbolic inputs)")
+                weight = convert(value, var, len(row))
                 memo[id(value)] = (value, weight)
                 ap(weight)
             rows.append(row)
         return rows
 
-    def _overlay_rows(self, specs, default):
+    def _overlay_rows(self, specs, default, convert):
         """Fast fill for an all-``WeightOverlay`` batch sharing one
         base: convert the base column once, replicate it across lanes
         (C-speed list repeat), then poke the per-lane replacements —
@@ -321,30 +355,28 @@ class Tape:
         if any(spec.base is not base for spec in specs):
             return None
         k = len(specs)
-        rows = [[weight] * k
-                for (weight,) in self._float_rows([base], default)]
+        rows = [[weight] * k for (weight,) in
+                self._slot_rows([base], default, convert)]
         index = self._slot_index
         if index is None:
             index = self._slot_index = {
-                var: s for s, var in enumerate(self.slots)}
-        isfinite = math.isfinite
+                token_key(var): s for s, var in enumerate(self.slots)}
+        # Lanes pin the same token objects over and over, so slots
+        # are memoized by id too (the specs keep the tokens alive).
+        slot_of: dict = {}
         memo: dict = {}
         for lane, spec in enumerate(specs):
             for var, value in spec.pinned.items():
-                s = index.get(var)
+                s = slot_of.get(id(var), -1)
+                if s == -1:
+                    s = slot_of[id(var)] = index.get(token_key(var))
                 if s is None:  # variable absent from the circuit
                     continue
                 hit = memo.get(id(value))
                 if hit is not None:
                     rows[s][lane] = hit[1]
                     continue
-                weight = float(value)
-                if not isfinite(weight):
-                    raise ValueError(
-                        f"non-finite weight {weight!r} for variable "
-                        f"{var!r} in float lane {lane}; float sweeps "
-                        f"require finite weights (use numeric='exact' "
-                        f"for symbolic inputs)")
+                weight = convert(value, var, lane)
                 memo[id(value)] = (value, weight)
                 rows[s][lane] = weight
         return rows
@@ -354,7 +386,7 @@ class Tape:
         k = len(weight_specs)
         if k == 0:
             return []
-        w = np.array(self._float_rows(weight_specs, default),
+        w = np.array(self._slot_rows(weight_specs, default, _as_float),
                      dtype=np.float64).reshape(len(self.slots), k)
         ops, arg0, arg1 = self.ops, self.arg0, self.arg1
         operands = self.operands
@@ -393,8 +425,8 @@ class Tape:
         k = len(weight_specs)
         if k == 0:
             return []
-        slot_rows = [array("d", row)
-                     for row in self._float_rows(weight_specs, default)]
+        slot_rows = [array("d", row) for row in
+                     self._slot_rows(weight_specs, default, _as_float)]
         ops, arg0, arg1 = self.ops, self.arg0, self.arg1
         operands = self.operands
         regs: list = [None] * len(ops)
@@ -438,73 +470,108 @@ class Tape:
         return list(regs[self.root])
 
     def _eval_exact(self, weight_specs, default) -> list:
-        """Fraction kernel with the node interpreter's uniform-lane
-        optimization: register rows stay scalar until lanes actually
-        diverge (sweeps vary a handful of variables, so most of the
-        tape is evaluated once, not k times)."""
+        """The exact kernel: integer registers, one ``Fraction`` per
+        lane at the root."""
         k = len(weight_specs)
         if k == 0:
             return []
-        lookups = [make_lookup(spec, default) for spec in weight_specs]
+        nums, dens = self._exact_registers(weight_specs, default)
+        num, den = nums[self.root], dens[self.root]
+        if type(num) is list:
+            return [Fraction(n, d) for n, d in zip(num, den)]
+        return [Fraction(num, den)] * k
+
+    def _exact_registers(self, weight_specs, default) -> tuple:
+        """Every register's unreduced ``(num, den)`` as two parallel
+        lists; an entry is an int while all lanes agree on the pair,
+        else a per-lane list of ints."""
+        k = len(weight_specs)
+        slot_num: list = []
+        slot_den: list = []
+        for row in self._slot_rows(weight_specs, default, _as_ratio):
+            first = row[0]
+            if row.count(first) == k:
+                slot_num.append(first[0])
+                slot_den.append(first[1])
+            else:
+                slot_num.append([q[0] for q in row])
+                slot_den.append([q[1] for q in row])
         ops, arg0, arg1 = self.ops, self.arg0, self.arg1
-        operands, slots = self.operands, self.slots
-        # rows[i] is a scalar when register i is uniform across all k
-        # lanes, else a length-k list (same layout as probability_batch).
-        rows: list = [None] * len(ops)
-        for i in range(len(ops)):
+        operands = self.operands
+        n = len(ops)
+        nums: list = [0] * n
+        dens: list = [1] * n
+        gcd = math.gcd
+        for i in range(n):
             op = ops[i]
             if op == OP_LIT:
-                var = slots[arg0[i]]
-                ps = [Fraction(lookup(var)) for lookup in lookups]
-                rows[i] = ps[0] if all(p == ps[0] for p in ps) else ps
+                nums[i] = slot_num[arg0[i]]
+                dens[i] = slot_den[arg0[i]]
             elif op == OP_AND:
-                scalar = ONE
-                wide: list = []
-                for j in range(arg0[i], arg1[i]):
-                    crow = rows[operands[j]]
-                    if isinstance(crow, list):
-                        wide.append(crow)
-                    else:
-                        scalar *= crow
-                        if not scalar:
-                            break
-                if not scalar or not wide:
-                    rows[i] = scalar
-                else:
-                    row = [scalar * x for x in wide[0]]
-                    for crow in wide[1:]:
-                        for lane in range(k):
-                            row[lane] *= crow[lane]
-                    rows[i] = row
-            elif op == OP_OR:
-                scalar = ZERO
+                sn = sd = 1
                 wide = []
                 for j in range(arg0[i], arg1[i]):
-                    crow = rows[operands[j]]
-                    if isinstance(crow, list):
-                        wide.append(crow)
+                    r = operands[j]
+                    cn = nums[r]
+                    if type(cn) is list:
+                        wide.append(r)
+                    elif cn:
+                        sn *= cn
+                        sd *= dens[r]
                     else:
-                        scalar += crow
+                        sn = 0
+                        break
+                if not sn:
+                    continue  # registers start at 0/1
                 if not wide:
-                    rows[i] = scalar
-                else:
-                    row = [scalar + x for x in wide[0]]
-                    for crow in wide[1:]:
-                        for lane in range(k):
-                            row[lane] += crow[lane]
-                    rows[i] = row
+                    nums[i], dens[i] = sn, sd
+                    continue
+                rn, rd = nums[wide[0]], dens[wide[0]]
+                if sn != 1 or sd != 1:
+                    rn = [sn * x for x in rn]
+                    rd = [sd * x for x in rd]
+                for r in wide[1:]:
+                    rn = [x * y for x, y in zip(rn, nums[r])]
+                    rd = [x * y for x, y in zip(rd, dens[r])]
+                nums[i], dens[i] = rn, rd
+            elif op == OP_OR:
+                sn, sd = 0, 1
+                wide = []
+                for j in range(arg0[i], arg1[i]):
+                    r = operands[j]
+                    cn = nums[r]
+                    if type(cn) is list:
+                        wide.append(r)
+                    elif cn:
+                        cd = dens[r]
+                        if cd == sd:
+                            sn += cn
+                        elif not sn:
+                            sn, sd = cn, cd
+                        else:
+                            g = gcd(sd, cd)
+                            sn = sn * (cd // g) + cn * (sd // g)
+                            sd = sd // g * cd
+                if not wide:
+                    nums[i], dens[i] = sn, sd
+                    continue
+                rn, rd = nums[wide[0]], dens[wide[0]]
+                if sn:
+                    rn, rd = _exact_lane_sum(rn, rd, [sn] * k, [sd] * k)
+                for r in wide[1:]:
+                    rn, rd = _exact_lane_sum(rn, rd, nums[r], dens[r])
+                nums[i], dens[i] = rn, rd
             elif op == OP_NEG:
-                src = rows[arg0[i]]
-                if isinstance(src, list):
-                    rows[i] = [ONE - x for x in src]
+                r = arg0[i]
+                cn, cd = nums[r], dens[r]
+                if type(cn) is list:
+                    nums[i] = [d - x for x, d in zip(cn, cd)]
                 else:
-                    rows[i] = ONE - src
+                    nums[i] = cd - cn
+                dens[i] = cd
             elif op == OP_CONST1:
-                rows[i] = ONE
-            else:
-                rows[i] = ZERO
-        root = rows[self.root]
-        return list(root) if isinstance(root, list) else [root] * k
+                nums[i] = 1
+        return nums, dens
 
     # ------------------------------------------------------------------
     # Serialization (versioned, exact round trip)
@@ -558,9 +625,9 @@ class Tape:
             slots = tuple(decode_token(obj)
                           for obj in header["slots"])
             ops = array("B", json.loads(lines[1]))
-            arg0 = array("q", json.loads(lines[2]))
-            arg1 = array("q", json.loads(lines[3]))
-            operands = array("q", json.loads(lines[4]))
+            arg0 = array("i", json.loads(lines[2]))
+            arg1 = array("i", json.loads(lines[3]))
+            operands = array("i", json.loads(lines[4]))
             root = header["root"]
             count = header["instructions"]
             circuit_nodes = header["circuit_nodes"]
@@ -594,10 +661,13 @@ class _Flattener:
 
     def __init__(self):
         self.ops = array("B")
-        self.arg0 = array("q")
-        self.arg1 = array("q")
-        self.operands = array("q")
+        # 32-bit indices: tapes ride along with every cached circuit,
+        # so half the footprint of "q" matters more than range.
+        self.arg0 = array("i")
+        self.arg1 = array("i")
+        self.operands = array("i")
         self.slot_ids: dict = {}
+        self._slot_by_id: dict = {}
         self.slots: list = []
         self._lit_regs: dict = {}
         self._neg_regs: dict = {}
@@ -623,10 +693,17 @@ class _Flattener:
         return self._const1
 
     def _slot(self, var) -> int:
-        sid = self.slot_ids.get(var)
+        # Slots are keyed by token_key, so hash-equal tokens (True vs
+        # 1) stay distinct; the id memo skips re-keying a token object
+        # the node table repeats (the circuit keeps it alive).
+        sid = self._slot_by_id.get(id(var))
         if sid is None:
-            sid = self.slot_ids[var] = len(self.slots)
-            self.slots.append(var)
+            key = token_key(var)
+            sid = self.slot_ids.get(key)
+            if sid is None:
+                sid = self.slot_ids[key] = len(self.slots)
+                self.slots.append(var)
+            self._slot_by_id[id(var)] = sid
         return sid
 
     def lit(self, var) -> int:

@@ -55,10 +55,10 @@ from repro.tid.lifted import lifted_probability
 from repro.tid.lineage import lineage
 from repro.tid.wmc import (
     DEFAULT_BUDGET_NODES,
+    cnf_probability,
     cnf_probability_auto,
     compiled,
     ensure_tape,
-    probability,
     shannon_probability,
 )
 
@@ -129,18 +129,12 @@ class EvaluationResult:
         return payload
 
 
-def _shannon_query_probability(query: Query, tid: TID) -> Fraction:
-    """Pr(Q) via the legacy recursive engine (recomputes every call)."""
-    if query.is_false():
-        return Fraction(0)
-    return shannon_probability(lineage(query, tid), tid.probability)
-
-
 def evaluate(query: Query, tid: TID, method: str = "auto", *,
              budget_nodes: int | None = DEFAULT_BUDGET_NODES,
              epsilon=DEFAULT_EPSILON, delta=DEFAULT_DELTA,
              rng=None, estimator: str = "hoeffding",
-             relative_error=None, planner=None) -> EvaluationResult:
+             relative_error=None, planner=None,
+             formula: CNF | None = None) -> EvaluationResult:
     """Pr(Q) over the TID, routed per the dichotomy.
 
     ``budget_nodes``/``epsilon``/``delta``/``rng`` govern the
@@ -156,10 +150,22 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
     ``estimator`` (default fixed-n Hoeffding).  ``planner`` is an
     optional ``repro.booleans.adaptive.BudgetPlanner`` choosing the
     compilation budget from the observed circuit-size trajectory.
+    ``formula`` is the query's lineage over ``tid`` when the caller
+    has already grounded it (the service's workload resolver has), so
+    no engine grounds it again; it must equal ``lineage(query, tid)``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
     safe = is_safe(query)
+
+    def grounded() -> CNF:
+        return lineage(query, tid) if formula is None else formula
+
+    def exact(engine) -> Fraction:
+        if query.is_false():
+            return Fraction(0)
+        return engine(grounded(), tid.probability)
+
     if method == "auto":
         if safe:
             return EvaluationResult(lifted_probability(query, tid),
@@ -167,7 +173,7 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
         if query.is_false():
             return EvaluationResult(Fraction(0), "wmc", False)
         answer = cnf_probability_auto(
-            lineage(query, tid), tid.probability,
+            grounded(), tid.probability,
             budget_nodes=budget_nodes, epsilon=epsilon, delta=delta,
             rng=rng, estimator=estimator,
             relative_error=relative_error, planner=planner)
@@ -189,7 +195,7 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
                 ProbabilityEstimate(zero, zero, zero, 0, 0,
                                     samples_used=0))
         estimate = estimate_with(
-            sampler, lineage(query, tid), tid.probability, epsilon,
+            sampler, grounded(), tid.probability, epsilon,
             delta, rng, relative_error=relative_error)
         return EvaluationResult(estimate.estimate, label, safe,
                                 estimate)
@@ -197,35 +203,34 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
         return EvaluationResult(lifted_probability(query, tid),
                                 "lifted", safe)
     if method == "wmc":
-        return EvaluationResult(probability(query, tid), "wmc", safe)
+        return EvaluationResult(exact(cnf_probability), "wmc", safe)
     if method == "compiled":
         # Same engine as "wmc" (which is circuit-backed), addressed
         # explicitly; provenance records the caller's choice.
-        return EvaluationResult(probability(query, tid),
-                                "compiled", safe)
+        return EvaluationResult(exact(cnf_probability), "compiled",
+                                safe)
     if method == "shannon":
-        return EvaluationResult(_shannon_query_probability(query, tid),
-                                "shannon", safe)
+        return EvaluationResult(exact(shannon_probability), "shannon",
+                                safe)
     if method == "brute":
         return EvaluationResult(probability_brute(query, tid),
                                 "brute", safe)
     # cross-check
-    wmc_value = probability(query, tid)
-    shannon_value = _shannon_query_probability(query, tid)
-    if wmc_value != shannon_value:  # pragma: no cover - engine bug guard
+    value = exact(cnf_probability)
+    shannon = exact(shannon_probability)
+    if value != shannon:  # pragma: no cover - engine bug guard
         raise AssertionError(
-            f"engine disagreement: compiled={wmc_value} "
-            f"shannon={shannon_value}")
+            f"engine disagreement: compiled={value} shannon={shannon}")
     brute_value = probability_brute(query, tid)
-    if wmc_value != brute_value:  # pragma: no cover - engine bug guard
+    if value != brute_value:  # pragma: no cover - engine bug guard
         raise AssertionError(
-            f"engine disagreement: wmc={wmc_value} brute={brute_value}")
+            f"engine disagreement: wmc={value} brute={brute_value}")
     if safe:
         lifted_value = lifted_probability(query, tid)
-        if lifted_value != wmc_value:  # pragma: no cover
+        if lifted_value != value:  # pragma: no cover
             raise AssertionError(
-                f"lifted={lifted_value} disagrees with wmc={wmc_value}")
-    return EvaluationResult(wmc_value, "cross-check", safe)
+                f"lifted={lifted_value} disagrees with wmc={value}")
+    return EvaluationResult(value, "cross-check", safe)
 
 
 def evaluate_batch(query: Query, tids: Iterable[TID],
@@ -312,8 +317,8 @@ def probability_sweep(formula: CNF,
     This is the primitive behind the reduction pipelines' probability
     grids (block-matrix entries, Type-II theta-sweeps, interpolation
     points): one exponential compilation (riding the two-tier circuit
-    cache), then a single node-ordered batched pass over all weight
-    maps (``Circuit.probability_batch``).  Each entry of
+    cache), then a single batched pass of the flat instruction tape
+    over all weight maps (``Circuit.probability_batch``).  Each entry of
     ``weight_maps`` may be a mapping, a callable, or None (all
     variables at ``default``, by default 1/2).
 
@@ -359,12 +364,10 @@ def probability_sweep(formula: CNF,
         # with no fallback budget, where the planner is still warming
         # up and budget_for returned None.
         planner.observe(len(formula), circuit.size)
-    if numeric == "float":
-        # Float batches run on the flat instruction tape; resolve it
-        # through the two-tier cache up front so a store-persisted
-        # sidecar satisfies the flattening (warm processes never
-        # re-flatten).
-        ensure_tape(formula, circuit)
+    # Batches run on the flat instruction tape; resolve it through the
+    # two-tier cache up front so a store-persisted sidecar satisfies
+    # the flattening (warm processes never re-flatten).
+    ensure_tape(formula, circuit)
     weight_maps = list(weight_maps)
     if processes and processes > 1 and len(weight_maps) > 1:
         if any(callable(w) for w in weight_maps):

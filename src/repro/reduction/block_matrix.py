@@ -92,8 +92,7 @@ def z_matrix_direct(query: Query, p: int, *,
         z00, z01, z10, z11 = answer.values
     else:
         circuit = compiled(formula)
-        if numeric == "float":
-            ensure_tape(formula, circuit)
+        ensure_tape(formula, circuit)
         z00, z01, z10, z11 = circuit.probability_batch(
             grid, numeric=numeric)
     return Matrix([[z00, z01], [z10, z11]])

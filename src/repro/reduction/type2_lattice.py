@@ -228,6 +228,5 @@ class TypeIIStructure:
                 estimator=estimator, relative_error=relative_error,
                 numeric=numeric, planner=planner).values
         circuit = compiled(formula)
-        if numeric == "float":
-            ensure_tape(formula, circuit)
+        ensure_tape(formula, circuit)
         return circuit.probability_batch(specs, numeric=numeric)

@@ -214,8 +214,7 @@ def link_matrix_sweep(query: Query, symbol: str,
                     numeric=numeric, planner=planner).values
             else:
                 circuit = compiled(factor)
-                if numeric == "float":
-                    ensure_tape(factor, circuit)
+                ensure_tape(factor, circuit)
                 entries[int(a), int(b)] = circuit.probability_batch(
                     specs, numeric=numeric)
     return [

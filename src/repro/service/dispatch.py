@@ -368,15 +368,12 @@ class ReproDispatcher:
         self._tcp.serve_forever()
 
     def start(self) -> tuple[str, int]:
-        self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, daemon=True,
-            name="repro-dispatch")
-        self._serve_thread.start()
+        self._serve_thread = self._tcp.serve_in_thread("repro-dispatch")
         return self.address
 
     def close(self) -> None:
         self._closing = True
-        self._tcp.shutdown()
+        self._tcp.stop()
         self._tcp.server_close()
         self._shutdown_workers()
         if self._serve_thread is not None:
@@ -569,8 +566,7 @@ class ReproDispatcher:
         check_fields(params, ())
         # Workers are stopped by close() after serve_forever returns
         # (the CLI's finally), so in-flight proxied work drains first.
-        threading.Thread(target=self._tcp.shutdown,
-                         daemon=True).start()
+        threading.Thread(target=self._tcp.stop, daemon=True).start()
         return {"stopping": True}
 
     def _op_evaluate_batch(self, params: dict) -> dict:

@@ -108,6 +108,27 @@ class _ServiceTCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
     service = None  # installed by ReproServer
+    #: Whether a serve loop was ever started: ``shutdown`` waits for
+    #: that loop to exit, so on a server that never served it would
+    #: block forever.
+    serving = False
+
+    def serve_forever(self, poll_interval=0.5):
+        self.serving = True
+        super().serve_forever(poll_interval)
+
+    def serve_in_thread(self, name: str) -> threading.Thread:
+        self.serving = True  # before the thread runs: stop() must wait
+        thread = threading.Thread(target=self.serve_forever,
+                                  daemon=True, name=name)
+        thread.start()
+        return thread
+
+    def stop(self) -> None:
+        """``shutdown`` that returns at once when no loop is serving."""
+        if self.serving:
+            self.shutdown()
+            self.serving = False
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -332,15 +353,13 @@ class ReproServer:
     def start(self) -> tuple[str, int]:
         """Serve on a background daemon thread; returns the address
         (tests and benchmarks embed the server this way)."""
-        self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, daemon=True,
-            name="repro-service")
-        self._serve_thread.start()
+        self._serve_thread = self._tcp.serve_in_thread("repro-service")
         return self.address
 
     def close(self) -> None:
-        """Stop accepting, close the listener, release the pool."""
-        self._tcp.shutdown()
+        """Stop accepting, close the listener, release the pool (also
+        before ``start`` and a second time)."""
+        self._tcp.stop()
         self._tcp.server_close()
         self.pool.shutdown()
         if self._serve_thread is not None:
@@ -507,7 +526,7 @@ class ReproServer:
         # shutdown() blocks until serve_forever returns, so it must run
         # off-thread; the response is written before the accept loop
         # notices anything.
-        threading.Thread(target=self._tcp.shutdown, daemon=True).start()
+        threading.Thread(target=self._tcp.stop, daemon=True).start()
         return {"stopping": True}
 
     def _op_stats(self, params: dict) -> dict:
@@ -694,7 +713,8 @@ class ReproServer:
                               budget_nodes=budget, epsilon=epsilon,
                               delta=delta, rng=seed,
                               estimator=estimator,
-                              relative_error=relative)
+                              relative_error=relative,
+                              formula=workload.formula)
         self._note_estimates([result.estimate], epsilon, delta)
         payload = result.as_dict()
         payload["p"] = workload.p

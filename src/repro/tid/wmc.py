@@ -344,13 +344,6 @@ def ensure_tape(formula: CNF, circuit: Circuit) -> Tape:
     return tape
 
 
-def tape_for(formula: CNF,
-             budget_nodes: int | None = None) -> Tape:
-    """Compile (or fetch) ``formula``'s circuit and return its
-    instruction tape — the one-stop entry point for float sweeps."""
-    return ensure_tape(formula, compiled(formula, budget_nodes))
-
-
 def clear_circuit_cache() -> None:
     """Drop all tier-1 circuits, the budget-failure memo, and the
     counters (mainly for tests and benchmarks; the disk store is
@@ -486,12 +479,11 @@ def probability_batch_auto(formula: CNF, weight_specs,
             values = [float(v) for v in values]
         return AutoSweep(values, ENGINE_LABELS[estimator], estimates)
     _observe(planner, formula, circuit)
-    if numeric == "float":
-        # Float batches run on the flat instruction tape; resolving it
-        # here (rather than inside probability_batch) lets the disk
-        # store's serialized sidecar satisfy the flattening, so warm
-        # services never re-flatten.
-        ensure_tape(formula, circuit)
+    # Batches run on the flat instruction tape; resolving it here
+    # (rather than inside probability_batch) lets the disk store's
+    # serialized sidecar satisfy the flattening, so warm services never
+    # re-flatten.
+    ensure_tape(formula, circuit)
     return AutoSweep(
         circuit.probability_batch(weight_specs, default, numeric),
         "exact")

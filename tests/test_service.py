@@ -318,6 +318,42 @@ class TestClientConnectionClosed:
             silent.close()
 
 
+def _returns_promptly(fn, timeout=5.0) -> bool:
+    """Run ``fn`` on a daemon thread; whether it finished in time (a
+    hang must fail the test, not stall the suite)."""
+    thread = threading.Thread(target=fn, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive()
+
+
+class TestLifecycle:
+    """Regression: ``close()`` on a server whose ``start()`` never ran
+    hung forever — ``socketserver.shutdown`` waits for a serve loop
+    that does not exist."""
+
+    def test_close_before_start_returns(self):
+        server = ReproServer(port=0)
+        assert server.handle_line(dump_line(
+            {"v": PROTOCOL_VERSION, "op": "ping"}))["ok"]
+        assert _returns_promptly(server.close)
+
+    def test_double_close_returns(self):
+        server = ReproServer(port=0)
+        server.start()
+        with ServiceClient(*server.address) as c:
+            assert c.ping() == {"pong": True}
+        assert _returns_promptly(server.close)
+        assert _returns_promptly(server.close)
+
+    def test_shutdown_op_without_serve_loop_is_harmless(self):
+        server = ReproServer(port=0)
+        reply = server.handle_line(dump_line(
+            {"v": PROTOCOL_VERSION, "op": "shutdown"}))
+        assert reply["result"] == {"stopping": True}
+        assert _returns_promptly(server.close)
+
+
 class TestCoalescing:
     def test_concurrent_sweeps_one_compile_one_pass(self):
         """The acceptance criterion: N concurrent same-fingerprint
@@ -485,22 +521,38 @@ class TestTapeService:
         assert second["tape_flattens"] == 1  # no re-flatten
         assert second["tape_hits"] > first["tape_hits"]
 
-    def test_exact_sweep_does_not_flatten(self, client):
-        client.sweep(QUERY, p=4, grid=4)
-        assert client.stats()["cache"]["tape_flattens"] == 0
+    def test_exact_sweep_flattens_once(self, client):
+        """Exact sweeps run on the tape too: the first flattens, a
+        repeat (and a warm evaluate) flattens nothing."""
+        first = client.sweep(QUERY, p=4, grid=4)
+        assert client.stats()["cache"]["tape_flattens"] == 1
+        again = client.sweep(QUERY, p=4, grid=4)
+        client.evaluate(QUERY, p=4)
+        stats = client.stats()["cache"]
+        assert stats["tape_flattens"] == 1  # no re-flatten
+        assert again["values"] == first["values"]
 
     def test_warm_store_sweep_never_reflattens(self, tmp_path):
         """The acceptance contract: a float sweep against a warm
         store (cold memory cache — a restarted process in real life)
         adopts the persisted tape, proving zero re-flattens through
         the live stats counters."""
+        self._restart_against_warm_store(tmp_path, "float")
+
+    def test_warm_store_exact_sweep_never_reflattens(self, tmp_path):
+        """The same contract for exact sweeps, which run on the tape
+        as well."""
+        self._restart_against_warm_store(tmp_path, "exact")
+
+    @staticmethod
+    def _restart_against_warm_store(tmp_path, numeric):
         with ReproServer(port=0, store=str(tmp_path)) as server:
             with ServiceClient(*server.address) as c:
-                first = c.sweep(QUERY, p=4, grid=6, numeric="float")
+                first = c.sweep(QUERY, p=4, grid=6, numeric=numeric)
                 assert c.stats()["cache"]["tape_flattens"] == 1
 
                 wmc.clear_circuit_cache()  # simulate a restart
-                again = c.sweep(QUERY, p=4, grid=6, numeric="float")
+                again = c.sweep(QUERY, p=4, grid=6, numeric=numeric)
                 stats = c.stats()["cache"]
                 assert stats["compiles"] == 0
                 assert stats["tape_flattens"] == 0

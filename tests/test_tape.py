@@ -1,10 +1,13 @@
 """The flat instruction-tape engine: kernels, serialization, caching.
 
 Contracts pinned here: the tape's exact kernel is *bit-identical* to
-the node interpreter on arbitrary formulas and weight batches (same
-Fractions, not approximations); the float kernels (numpy and the
-stdlib fallback) agree with the exact values to float tolerance and
-reject non-finite weights loudly; ``to_bytes``/``from_bytes`` round
+the per-node ``Circuit._forward`` pass, run once per lane, on
+arbitrary formulas and weight batches (same Fractions, not
+approximations), and its integer registers keep the denominator bound
+that makes renormalization unnecessary; the float kernels (numpy and
+the stdlib fallback) agree with the exact values to float tolerance
+and reject non-finite weights loudly; hash-equal variable tokens
+(``True`` vs ``1``) get distinct slots; ``to_bytes``/``from_bytes`` round
 trips exactly and is byte-identical across ``PYTHONHASHSEED`` values;
 ``tape_for_circuit`` flattens once per circuit and the counters prove
 it.
@@ -24,9 +27,13 @@ from hypothesis import strategies as st
 
 from repro.booleans import tape as tape_module
 from repro.booleans.circuit import (
+    AND,
+    LEAF,
+    Circuit,
     UnsupportedVersionError,
     WeightOverlay,
     compile_cnf,
+    make_lookup,
 )
 from repro.booleans.cnf import CNF
 from repro.booleans.tape import (
@@ -58,6 +65,13 @@ def rst_formula():
     return lineage(query, tid), tid
 
 
+def forward_oracle(circuit, specs, default=None):
+    """Pr(F) per lane from the per-node exact pass, independent of the
+    tape."""
+    return [circuit._forward(make_lookup(spec, default))[circuit.root]
+            for spec in specs]
+
+
 def random_formula_and_weights(query_seed, tid_seed, k=3):
     query = random_query(query_seed, SMALL)
     tid = build_tid(query, tid_seed)
@@ -78,8 +92,8 @@ class TestKernelAgreement:
     def test_exact_kernel_bit_identical_to_node(self, qs, ts):
         formula, specs = random_formula_and_weights(qs, ts)
         circuit = compile_cnf(formula)
-        node = circuit.probability_batch(specs, engine="node")
-        tape = circuit.probability_batch(specs, engine="tape")
+        node = forward_oracle(circuit, specs)
+        tape = circuit.probability_batch(specs)
         assert node == tape
         assert all(isinstance(v, Fraction) for v in tape)
 
@@ -88,9 +102,8 @@ class TestKernelAgreement:
     def test_float_kernel_matches_exact(self, qs, ts):
         formula, specs = random_formula_and_weights(qs, ts)
         circuit = compile_cnf(formula)
-        exact = circuit.probability_batch(specs, engine="node")
-        floats = circuit.probability_batch(specs, numeric="float",
-                                           engine="tape")
+        exact = forward_oracle(circuit, specs)
+        floats = circuit.probability_batch(specs, numeric="float")
         assert all(abs(f - float(e)) < 1e-9
                    for f, e in zip(floats, exact))
 
@@ -126,6 +139,163 @@ class TestKernelAgreement:
         false_tape = flatten_circuit(compile_cnf(CNF.FALSE))
         assert true_tape.evaluate([None, None]) == [F(1), F(1)]
         assert false_tape.evaluate([None], numeric="float") == [0.0]
+
+
+#: Lane weights for the exact-kernel property: mixed denominators (the
+#: lcm path of OR), 0 (the AND early exit), 1, and int/float inputs.
+WEIGHT_POOL = (F(1, 3), F(2, 7), F(5, 11), F(1, 2), 0, 1, 0.5, 0.1)
+
+
+def mixed_lanes(formula, seed, k):
+    """k weight maps over ``formula``'s variables drawn from
+    ``WEIGHT_POOL``; about half the lanes copy their predecessor with
+    one variable changed (the sweep shape), so registers are uniform
+    across lanes on part of the tape and per-lane on the rest."""
+    rng = random.Random(seed)
+    variables = sorted(formula.variables(), key=repr)
+    lanes = []
+    for _ in range(k):
+        if lanes and variables and rng.random() < 0.5:
+            lane = dict(lanes[-1])
+            lane[rng.choice(variables)] = rng.choice(WEIGHT_POOL)
+        else:
+            lane = {var: rng.choice(WEIGHT_POOL) for var in variables
+                    if rng.random() < 0.9}  # the rest fall to 1/2
+        lanes.append(lane)
+    return lanes
+
+
+def register_variables(tape):
+    """The set of slots each tape register depends on."""
+    out = []
+    for i, op in enumerate(tape.ops):
+        if op == tape_module.OP_LIT:
+            out.append(frozenset((tape.arg0[i],)))
+        elif op == tape_module.OP_NEG:
+            out.append(out[tape.arg0[i]])
+        elif op in (tape_module.OP_AND, tape_module.OP_OR):
+            out.append(frozenset().union(*(
+                out[tape.operands[j]]
+                for j in range(tape.arg0[i], tape.arg1[i]))))
+        else:
+            out.append(frozenset())
+    return out
+
+
+class TestExactKernel:
+    @given(st.integers(0, 10_000), st.integers(0, 10_000),
+           st.integers(0, 10_000), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_kernel_property(self, qs, ts, ws, k):
+        query = random_query(qs, SMALL)
+        formula = lineage(query, build_tid(query, ts))
+        circuit = compile_cnf(formula)
+        lanes = mixed_lanes(formula, ws, k)
+        tape = flatten_circuit(circuit)
+
+        exact = tape.evaluate(lanes)
+        assert exact == forward_oracle(circuit, lanes)
+        assert all(type(v) is Fraction for v in exact)
+        floats = tape.evaluate(lanes, numeric="float")
+        assert all(abs(f - float(e)) <= 1e-12
+                   for f, e in zip(floats, exact))
+
+        # The bound that makes renormalization unnecessary: every
+        # register's denominator divides the product of the weight
+        # denominators of the variables beneath it.
+        slot_dens = [[F(make_lookup(lane)(var)).denominator
+                      for lane in lanes] for var in tape.slots]
+        _, dens = tape._exact_registers(lanes, None)
+        for slots, den in zip(register_variables(tape), dens):
+            for lane in range(k):
+                d = den[lane] if isinstance(den, list) else den
+                bound = 1
+                for s in slots:
+                    bound *= slot_dens[s][lane]
+                assert d > 0 and bound % d == 0
+
+    def test_probability_is_one_tape_pass(self):
+        formula, tid = rst_formula()
+        circuit = compile_cnf(formula)
+        reset_tape_stats()
+        value = circuit.probability(tid.probability)
+        assert value == forward_oracle(circuit, [tid.probability])[0]
+        assert circuit.probability_batch([tid.probability]) == [value]
+        stats = tape_stats()
+        assert stats["tape_flattens"] == 1
+        assert stats["tape_hits"] == 1
+
+    def test_weights_outside_the_unit_interval(self):
+        """The integer kernel is exact rational arithmetic, not just
+        probability arithmetic: negative numerators from NEG and
+        weights above 1 agree with the oracle too."""
+        formula, _ = rst_formula()
+        circuit = compile_cnf(formula)
+        variables = sorted(circuit.variables(), key=repr)
+        specs = [{var: F(-1, 3) if j % 2 else F(3, 2)
+                  for j, var in enumerate(variables)},
+                 {var: F(j - 2, 5) for j, var in enumerate(variables)}]
+        assert circuit.probability_batch(specs) == \
+            forward_oracle(circuit, specs)
+
+    def test_default_weight_and_non_fraction_inputs(self):
+        formula, _ = rst_formula()
+        circuit = compile_cnf(formula)
+        specs = [None, {}, lambda var: 1, lambda var: 0.25]
+        for default in (None, F(1, 3), 1):
+            assert circuit.probability_batch(specs, default) == \
+                forward_oracle(circuit, specs, default)
+
+
+class TestHashEqualTokens:
+    """``True == 1`` and ``hash(True) == hash(1)``: slots must be keyed
+    by the type-tagged token, or both variables share one weight."""
+
+    @staticmethod
+    def circuit():
+        return Circuit(((LEAF, True), (LEAF, 1), (AND, (0, 1))), 2)
+
+    @staticmethod
+    def lookup(var):
+        if var is True:
+            return F(1, 3)
+        if type(var) is int and var == 1:
+            return F(1, 5)
+        raise AssertionError(var)
+
+    def test_float_lanes_keep_tokens_apart(self):
+        circuit = self.circuit()
+        (value,) = circuit.probability_batch([self.lookup],
+                                             numeric="float")
+        assert value == pytest.approx(1 / 15, abs=1e-15)
+        assert circuit.probability(self.lookup) == F(1, 15)
+        assert len(tape_for_circuit(circuit).slots) == 2
+
+    def test_nested_tokens_keep_apart(self):
+        circuit = Circuit(((LEAF, ("R", True)), (LEAF, ("R", 1)),
+                           (AND, (0, 1))), 2)
+
+        def lookup(var):
+            return F(1, 3) if var[1] is True else F(1, 5)
+
+        assert circuit.probability_batch([lookup], numeric="float") \
+            == [pytest.approx(1 / 15, abs=1e-15)]
+
+    def test_tape_round_trip_validates(self):
+        tape = flatten_circuit(self.circuit())
+        back = Tape.from_bytes(tape.to_bytes())  # validate(): no raise
+        assert back.slots == tape.slots
+        assert [type(v) for v in back.slots] == [bool, int]
+
+    def test_overlay_pins_only_its_own_type(self):
+        circuit = self.circuit()
+        specs = [WeightOverlay(self.lookup, {True: F(1, 2)}),
+                 WeightOverlay(self.lookup, {1: F(1, 2)})]
+        want = [F(1, 10), F(1, 6)]
+        assert circuit.probability_batch(specs) == want
+        floats = circuit.probability_batch(specs, numeric="float")
+        assert floats == [pytest.approx(float(w), abs=1e-15)
+                          for w in want]
 
 
 class TestWeightOverlay:
@@ -200,25 +370,16 @@ class TestNonFiniteGuards:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
-    def test_node_engine_names_lane(self, bad):
-        circuit, specs = self._poisoned(bad)
-        with pytest.raises(ValueError, match="float lane 1"):
-            circuit.probability_batch(specs, numeric="float",
-                                      engine="node")
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_tape_numpy_kernel_names_lane(self, bad):
         circuit, specs = self._poisoned(bad)
         with pytest.raises(ValueError, match="float lane 1"):
-            circuit.probability_batch(specs, numeric="float",
-                                      engine="tape")
+            circuit.probability_batch(specs, numeric="float")
 
     def test_tape_fallback_kernel_names_lane(self, monkeypatch):
         circuit, specs = self._poisoned(float("nan"))
         monkeypatch.setattr(tape_module, "_np", None)
         with pytest.raises(ValueError, match="float lane 1"):
-            circuit.probability_batch(specs, numeric="float",
-                                      engine="tape")
+            circuit.probability_batch(specs, numeric="float")
 
     def test_overlay_fast_fill_names_lane(self):
         formula, tid = rst_formula()
@@ -234,14 +395,8 @@ class TestNonFiniteGuards:
         working on the exact kernels."""
         circuit, specs = self._poisoned(float("inf"))
         specs[1][sorted(circuit.variables(), key=repr)[1]] = F(1, 2)
-        assert circuit.probability_batch(specs, engine="tape") == \
-            circuit.probability_batch(specs, engine="node")
-
-    def test_engine_validation(self):
-        formula, _ = rst_formula()
-        circuit = compile_cnf(formula)
-        with pytest.raises(ValueError, match="engine"):
-            circuit.probability_batch([{}], engine="jit")
+        assert circuit.probability_batch(specs) == \
+            forward_oracle(circuit, specs)
 
 
 class TestSerialization:
