@@ -2,11 +2,12 @@
 
 The service protocol lives in four places that only convention keeps
 aligned: ``protocol.OPS`` (the wire-validated op vocabulary),
-``server.py``'s ``self._dispatch`` table and ``_op_*`` handlers (with
-their ``check_fields`` allow-lists), ``client.py``'s convenience
-methods (one ``self.call("<op>", ...)`` each), and the README op
-table.  Adding an op to three of the four is exactly the drift this
-rule exists to catch before a release does.
+``server.py``'s op table (the ``self._dispatch`` dict the front end
+builds plus every ``self._dispatch.update({...})`` a backend adds)
+and ``_op_*`` handlers (with their ``check_fields`` allow-lists),
+``client.py``'s convenience methods (one ``self.call("<op>", ...)``
+each), and the README op table.  Adding an op to three of the four
+is exactly the drift this rule exists to catch before a release does.
 
 Cross-checks (all repo-level, reported once per skew):
 
@@ -213,19 +214,27 @@ class ProtocolDriftRule(Rule):
         handlers: dict[str, int] = {}
         handler_params: dict[str, tuple] = {}
         for node in ast.walk(tree):
+            table = None
             if isinstance(node, ast.Assign) \
                     and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Attribute) \
-                    and node.targets[0].attr == "_dispatch" \
-                    and isinstance(node.value, ast.Dict):
-                for key, value in zip(node.value.keys,
-                                      node.value.values):
+                    and node.targets[0].attr == "_dispatch":
+                table = node.value
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "update" \
+                    and isinstance(node.func.value, ast.Attribute) \
+                    and node.func.value.attr == "_dispatch" \
+                    and len(node.args) == 1:
+                table = node.args[0]
+            if isinstance(table, ast.Dict):
+                for key, value in zip(table.keys, table.values):
                     if isinstance(key, ast.Constant) \
                             and isinstance(key.value, str) \
                             and isinstance(value, ast.Attribute):
                         dispatch[key.value] = (value.attr, key.lineno)
-            elif isinstance(node, (ast.FunctionDef,
-                                   ast.AsyncFunctionDef)) \
+            if isinstance(node, (ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) \
                     and node.name.startswith("_op_"):
                 handlers[node.name] = node.lineno
                 for sub in ast.walk(node):

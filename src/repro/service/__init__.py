@@ -6,9 +6,10 @@ The package splits along transport-independent seams:
   validation (pure functions, no sockets);
 * ``scheduler`` — the deduping compile pool and the sweep coalescer
   (pure threading, no sockets);
-* ``server`` — ``ReproServer``, the ``socketserver`` embedding that
-  routes protocol requests through the schedulers into the ``wmc``
-  auto policy and two-tier circuit cache;
+* ``server`` — ``ServiceFrontEnd``, the one request front end, and
+  ``ReproServer``, its in-process backend (schedulers into the ``wmc``
+  auto policy and two-tier circuit cache); ``dispatch`` and ``worker``
+  put the same front end over a pool of worker processes;
 * ``tenants`` — token authentication and per-tenant quotas (request
   rate windows + cumulative compile budgets);
 * ``metrics`` — the Prometheus-style text rendering of ``stats``;

@@ -1,15 +1,16 @@
-"""Multi-process front end: one dispatcher, N worker processes.
+"""Multi-process backend: one dispatcher, N worker processes.
 
-Exact ``Fraction`` evaluation is pure Python, so a hot sweep on the
-single ``ThreadingTCPServer`` holds the GIL and starves every other
-client.  ``ReproDispatcher`` scales the service past that limit
-without changing its contract: it listens on the same line-JSON
-protocol (same ops, same error codes) and proxies compute requests to
-a pool of worker **processes** (``repro.service.worker``), each a
-full ``ReproServer`` with its own interpreter, compile pool, and
-memory LRU, all sharing one content-addressed ``CircuitStore``.
+Exact ``Fraction`` evaluation is pure Python, so a hot sweep in a
+single process holds the GIL and starves every other client.
+``ReproDispatcher`` scales the service past that limit without
+changing its contract: it is the same ``ServiceFrontEnd`` as
+``ReproServer`` (same request path, same admin ops, same error codes)
+with a different backend — compute ops are proxied to a pool of
+worker **processes** (``repro.service.worker``), each a full
+``ReproServer`` with its own interpreter, compile pool, and memory
+LRU, all sharing one content-addressed ``CircuitStore``.
 
-Design points:
+What this backend adds:
 
 * **Consistent-hash routing** — requests route by the workload's
   ``cnf_fingerprint`` over a virtual-node hash ring, so one formula
@@ -46,40 +47,32 @@ import os
 import subprocess
 import sys
 import threading
-import time
 
 from bisect import bisect_left
+from functools import partial
 from pathlib import Path
-from types import MappingProxyType as _freeze
 
 from repro.booleans.adaptive import BudgetPlanner
-from repro.obs import NULL_SPAN, Tracer, current_trace_id, span
+from repro.obs import current_trace_id, span
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.metrics import CONTENT_TYPE, render_metrics
 from repro.service.protocol import (
     ERROR_CODES,
     ProtocolError,
     check_fields,
-    error_response,
-    ok_response,
-    parse_request,
-    take_bool,
     take_int,
     take_int_list,
-    take_str,
 )
-from repro.service.server import (
-    WorkloadResolver,
-    _Handler,
-    _ServiceTCPServer,
-)
-from repro.service.tenants import ANONYMOUS, TenantQuota, TenantRegistry
+from repro.service.server import ServiceFrontEnd
+from repro.service.tenants import ANONYMOUS
 from repro.service.worker import BANNER
-from repro.tid import wmc
 
 #: Virtual ring points per worker: enough that the keyspace split is
 #: within a few percent of even for small pools, cheap to build.
 VNODES = 64
+
+#: Ops answered by the fingerprint's home worker, params unchanged.
+_ROUTED_OPS = ("compile", "evaluate", "sweep", "estimate", "sample",
+               "top_k")
 
 #: Worker cache counters that are meaningful to sum across the pool
 #: (limits and booleans are per-process configuration, not load).
@@ -175,96 +168,64 @@ class _WorkerHandle:
             _close_quietly(conn)
 
 
-class ReproDispatcher:
-    """The multi-process query service front end.
+class ReproDispatcher(ServiceFrontEnd):
+    """The multi-process service backend.
 
-    Constructor surface mirrors ``ReproServer`` (the CLI treats the
-    two uniformly) plus ``workers`` — the worker *process* count —
-    and ``compile_threads``, each worker's compile-pool size.
-    ``worker_timeout`` optionally bounds each proxied exchange;
-    ``None`` (the default) matches the single-process behaviour of
-    waiting as long as the work takes, with crash detection riding on
-    the torn connection instead.
+    ``workers`` is the worker *process* count and ``compile_threads``
+    each worker's compile-pool size; ``store`` and ``window`` are
+    handed to every worker.  ``worker_timeout`` optionally bounds each
+    proxied exchange; ``None`` (the default) matches the
+    single-process behaviour of waiting as long as the work takes,
+    with crash detection riding on the torn connection instead.
+    Every other keyword argument is ``ServiceFrontEnd``'s.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int = 2, store=None, window: float = 0.01,
-                 budget_nodes: int | None = wmc.DEFAULT_BUDGET_NODES,
-                 workload_cache_size: int = 128,
-                 auth_tokens: dict[str, str] | None = None,
-                 quota: TenantQuota | None = None,
-                 tenant_quotas: dict[str, TenantQuota] | None = None,
-                 store_max_bytes: int | None = None,
-                 tracing: bool = True,
-                 slow_ms: float | None = None,
-                 trace_buffer: int = 256,
-                 trace_dir=None,
-                 tracer: Tracer | None = None,
-                 clock=time.monotonic,
                  compile_threads: int = 4,
-                 worker_timeout: float | None = None):
+                 worker_timeout: float | None = None,
+                 **frontend):
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if compile_threads < 1:
             raise ValueError("compile_threads must be at least 1")
-        if store_max_bytes is not None and store_max_bytes < 0:
-            raise ValueError("store_max_bytes must be non-negative")
-        if slow_ms is not None and slow_ms < 0:
-            raise ValueError("slow_ms must be non-negative")
         self.worker_count = workers
         self.compile_threads = compile_threads
         self.window = window
-        self.default_budget = budget_nodes
         self.worker_timeout = worker_timeout
         if store is not None:
             self.store_path = str(getattr(store, "root", store))
         else:
             self.store_path = None
-        self.store_max_bytes = store_max_bytes
-        self.tracing = tracing
-        self.tracer = tracer if tracer is not None else Tracer(
-            enabled=tracing, buffer_size=trace_buffer,
-            slow_threshold=(None if slow_ms is None
-                            else slow_ms / 1000.0),
-            trace_dir=trace_dir)
-        self.tenants = TenantRegistry(auth_tokens, quota,
-                                      tenant_quotas)
-        self.workloads = WorkloadResolver(workload_cache_size)
         self._ring = _HashRing(workers)
-        self._tenant_local = threading.local()
-        self._counter_lock = threading.Lock()
-        self._requests = 0
-        self._errors = 0
-        self._op_counts: dict[str, int] = {}
+        # Immutable after construction (handles mutate behind their
+        # own locks), so reads need no dispatcher-level lock.
+        self._workers = tuple(_WorkerHandle(index)
+                              for index in range(workers))
+        #: Guards the proxy counters below.
+        self._proxy_lock = threading.Lock()
         self._proxied = 0
         self._redispatches = 0
         self._child_seq = 0
-        self._clock = clock
-        self._started = clock()
-        self._started_at = time.time()
-        self._serve_thread = None
         self._closing = False
-        # Both immutable after construction (handles mutate behind
-        # their own locks), so reads need no dispatcher-level lock.
-        self._local_ops = _freeze({
-            "ping": self._op_ping,
-            "stats": self._op_stats,
-            "metrics": self._op_metrics,
-            "trace": self._op_trace,
-            "store_gc": self._op_store_gc,
-            "shutdown": self._op_shutdown,
-        })
-        self._workers = tuple(_WorkerHandle(index)
-                              for index in range(workers))
-        self._tcp = _ServiceTCPServer((host, port), _Handler)
-        self._tcp.service = self
+        super().__init__(host, port, **frontend)
+        self._dispatch.update(
+            {op: partial(self._proxy, op) for op in _ROUTED_OPS},
+            evaluate_batch=self._op_evaluate_batch,
+            stats=self._op_stats,
+            store_gc=self._op_store_gc)
         try:
             for handle in self._workers:
                 self._spawn(handle)
         except BaseException:
-            self._tcp.server_close()
-            self._shutdown_workers()
+            self.close()
             raise
+
+    # Defined in this class body, not only inherited: perfbench's
+    # tracer patches ``ReproDispatcher.handle_line`` through this
+    # class's own ``__dict__``.
+    def handle_line(self, line: bytes | str) -> dict:
+        return super().handle_line(line)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -285,7 +246,7 @@ class ReproDispatcher:
         if self.store_max_bytes is not None:
             command += ["--store-max-bytes",
                         str(self.store_max_bytes)]
-        if not self.tracing:
+        if not self.tracer.enabled:
             command += ["--no-tracing"]
         env = dict(os.environ)
         package_root = str(Path(__file__).resolve().parents[2])
@@ -338,7 +299,11 @@ class ReproDispatcher:
             handle.respawns += 1
             self._spawn(handle)
 
-    def _shutdown_workers(self) -> None:
+    def _close_backend(self) -> None:
+        """Stop every worker: an in-flight proxied request sees its
+        worker's connection torn and answers ``internal`` instead of
+        respawning it."""
+        self._closing = True
         for handle in self._workers:
             with handle.lock:
                 handle.drain_locked()
@@ -356,88 +321,6 @@ class ReproDispatcher:
                 process.wait(timeout=10)
             if process.stdout is not None:
                 process.stdout.close()
-
-    # ------------------------------------------------------------------
-    # Lifecycle (same surface as ReproServer)
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address[:2]
-
-    def serve_forever(self) -> None:
-        self._tcp.serve_forever()
-
-    def start(self) -> tuple[str, int]:
-        self._serve_thread = self._tcp.serve_in_thread("repro-dispatch")
-        return self.address
-
-    def close(self) -> None:
-        self._closing = True
-        self._tcp.stop()
-        self._tcp.server_close()
-        self._shutdown_workers()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5)
-            self._serve_thread = None
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Request handling (mirrors ReproServer.handle_line)
-    # ------------------------------------------------------------------
-    def handle_line(self, line: bytes | str) -> dict:
-        request_id = None
-        try:
-            request_id, op, params, auth, trace_id = parse_request(line)
-        except ProtocolError as error:
-            self._count(None, error=True)
-            return error_response(error.request_id, error.code,
-                                  error.message)
-        root = NULL_SPAN
-        try:
-            tenant = self.tenants.resolve(auth)
-            self._tenant_local.tenant = tenant
-            self.tenants.charge_request(tenant)
-            self._count(op)
-            root = self.tracer.root(op, trace_id=trace_id,
-                                    tenant=tenant)
-            with root:
-                result = self._handle_op(op, params)
-            response = ok_response(request_id, op, result)
-        except ProtocolError as error:
-            self._count(None, error=True)
-            response = error_response(request_id, error.code,
-                                      error.message)
-        except Exception as error:  # never kill the connection loop
-            self._count(None, error=True)
-            response = error_response(
-                request_id, "internal",
-                f"{type(error).__name__}: {error}")
-        echo = root.trace_id if root.trace_id is not None else trace_id
-        if echo is not None:
-            response["trace"] = echo
-        return response
-
-    def _count(self, op: str | None, error: bool = False) -> None:
-        with self._counter_lock:
-            if op is not None:
-                self._requests += 1
-                self._op_counts[op] = self._op_counts.get(op, 0) + 1
-            if error:
-                self._errors += 1
-
-    def _handle_op(self, op: str, params: dict) -> dict:
-        local = self._local_ops.get(op)
-        if local is not None:
-            return local(params)
-        if op == "evaluate_batch":
-            return self._op_evaluate_batch(params)
-        return self._proxy(op, params)
 
     # ------------------------------------------------------------------
     # Proxying
@@ -459,7 +342,7 @@ class ReproDispatcher:
         base = current_trace_id()
         if base is None:
             return None
-        with self._counter_lock:
+        with self._proxy_lock:
             self._child_seq += 1
             sequence = self._child_seq
         return f"{base[:96]}.w{handle.index}.{sequence}"
@@ -527,7 +410,7 @@ class ReproDispatcher:
                 failure = error
             else:
                 handle.release(generation, conn)
-                with self._counter_lock:
+                with self._proxy_lock:
                     self._proxied += 1
                 return result
             self._respawn_if_dead(handle, generation)
@@ -537,7 +420,7 @@ class ReproDispatcher:
                     f"worker {handle.index} failed while serving "
                     f"{op!r} and the re-dispatched attempt failed "
                     f"too: {failure}") from None
-            with self._counter_lock:
+            with self._proxy_lock:
                 self._redispatches += 1
 
     def _call_any_worker(self, op: str, params: dict) -> dict:
@@ -558,17 +441,6 @@ class ReproDispatcher:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def _op_ping(self, params: dict) -> dict:
-        check_fields(params, ())
-        return {"pong": True}
-
-    def _op_shutdown(self, params: dict) -> dict:
-        check_fields(params, ())
-        # Workers are stopped by close() after serve_forever returns
-        # (the CLI's finally), so in-flight proxied work drains first.
-        threading.Thread(target=self._tcp.stop, daemon=True).start()
-        return {"stopping": True}
-
     def _op_evaluate_batch(self, params: dict) -> dict:
         """A batch is one formula *per block length*: split it and
         route every ``p`` by its own fingerprint so the batch spreads
@@ -601,19 +473,8 @@ class ReproDispatcher:
 
     def _op_stats(self, params: dict) -> dict:
         check_fields(params, ())
-        uptime = self._clock() - self._started
-        with self._counter_lock:
-            service = {
-                "uptime_s": round(uptime, 3),
-                "uptime_seconds": round(uptime, 6),
-                "started_at": round(self._started_at, 3),
-                "requests": self._requests,
-                "errors": self._errors,
-                "ops": dict(sorted(self._op_counts.items())),
-                "default_budget_nodes": self.default_budget,
-                "workloads_cached": len(self.workloads),
-                "auth_enabled": self.tenants.auth_enabled,
-                "store_max_bytes": self.store_max_bytes,
+        with self._proxy_lock:
+            backend = {
                 "workers": self.worker_count,
                 "compile_threads": self.compile_threads,
                 "proxied_requests": self._proxied,
@@ -650,44 +511,18 @@ class ReproDispatcher:
             row["compile_jobs"] = worker_service.get(
                 "compile_jobs", 0)
             worker_rows.append(row)
-        service["worker_respawns"] = sum(
+        backend["worker_respawns"] = sum(
             handle.respawns for handle in self._workers)
         merged = BudgetPlanner.from_growth_records(growth)
         planner_info = dict(merged.stats())
         planner_info["growth"] = merged.growth_records()
-        service["planner"] = planner_info
-        tracing = self.tracer.stats()
-        tracing["histograms"] = self.tracer.histograms()
-        return {"cache": cache, "service": service,
-                "tenants": self.tenants.usage(), "tracing": tracing,
-                "workers": worker_rows}
-
-    def _op_metrics(self, params: dict) -> dict:
-        check_fields(params, ())
-        return {"content_type": CONTENT_TYPE,
-                "text": render_metrics(self._op_stats({}))}
-
-    def _op_trace(self, params: dict) -> dict:
-        """Same contract as the single-process ``trace`` op; a lookup
-        by id additionally grafts each proxied hop's worker-side span
-        tree under its ``proxy`` span, producing one tree that spans
-        both processes."""
-        check_fields(params, ("id", "limit", "slow"))
-        trace_id = take_str(params, "id", default=None)
-        limit = take_int(params, "limit", default=16, minimum=1,
-                         maximum=256)
-        slow = take_bool(params, "slow", default=False)
-        tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
-        scope = tenant if self.tenants.auth_enabled else None
-        if trace_id is not None:
-            found = self.tracer.find(trace_id, tenant=scope)
-            traces = [] if found is None else [self._merge_trace(found)]
-        else:
-            traces = self.tracer.recent(limit, tenant=scope, slow=slow)
-        return {"enabled": self.tracer.enabled,
-                "count": len(traces), "traces": traces}
+        backend["planner"] = planner_info
+        return self._stats_payload(cache, backend, workers=worker_rows)
 
     def _merge_trace(self, payload: dict) -> dict:
+        """Graft each proxied hop's worker-side span tree under its
+        ``proxy`` span, producing one tree that spans both
+        processes."""
         merged = dict(payload)
         spans = [dict(entry) for entry in payload.get("spans") or []]
         next_id = max((entry["id"] for entry in spans), default=0)

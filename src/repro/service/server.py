@@ -1,34 +1,41 @@
-"""The long-lived query service: a TCP server over the warm caches.
+"""The long-lived query service: one front end, two backends.
 
 Every ``repro`` CLI invocation pays interpreter start-up plus a cold
 compilation cache; the economics of the circuit IR — compile once,
-evaluate many — want the opposite: one resident process whose tier-1
+evaluate many — want the opposite: one resident service whose tier-1
 LRU and tier-2 ``CircuitStore`` stay warm across requests and clients.
-``ReproServer`` is that process:
+
+``ServiceFrontEnd`` is everything a client talks to, written once:
 
 * stdlib-only transport: a ``socketserver.ThreadingTCPServer`` (one
   thread per connection) speaking the line-delimited JSON protocol of
-  ``repro.service.protocol``;
-* all probability work routed through the ``auto`` policy
-  (``cnf_probability_auto`` / ``probability_batch_auto``) with
-  per-request ``budget_nodes``/``epsilon``/``delta``/``seed``
-  overrides, so a blown compilation budget degrades a single request
-  to the Monte-Carlo estimator — and every response records which
-  engine answered, mirroring ``AutoProbability``;
-* compilations run on a bounded ``CompilePool`` with in-flight dedupe,
-  and concurrent sweep requests against the same ``cnf_fingerprint``
-  coalesce into one ``Circuit.probability_batch`` pass
-  (``SweepCoalescer``);
-* the ``stats`` endpoint exposes ``wmc.cache_info()`` (hits, compiles,
-  store hits/misses, budget aborts) plus the scheduler counters
-  (coalesced batches, compile joins) and per-op request counts, so
-  warm-cache behaviour is observable from any client.
+  ``repro.service.protocol``, with its start/serve/close lifecycle;
+* the request path — parse, authenticate, charge the tenant's rate
+  window, count, open the root span, run the op from the op table,
+  map errors to structured codes, echo the trace id;
+* the ``WorkloadResolver`` (query text + block length -> lineage and
+  ``cnf_fingerprint``), the tenant registry and the tracer;
+* the admin ops ``ping``, ``shutdown``, ``metrics`` and ``trace``,
+  plus the front end's own ``service`` section of ``stats``.
+
+Two backends fill in the compute ops:
+
+* ``ReproServer`` (this module) computes in process: all probability
+  work routed through the ``auto`` policy with per-request
+  ``budget_nodes``/``epsilon``/``delta``/``seed`` overrides, so a
+  blown compilation budget degrades a single request to the
+  Monte-Carlo estimator; compilations run on a bounded ``CompilePool``
+  with in-flight dedupe, and concurrent sweeps against the same
+  ``cnf_fingerprint`` coalesce into one ``Circuit.probability_batch``
+  pass (``SweepCoalescer``);
+* ``ReproDispatcher`` (``repro.service.dispatch``) proxies them to a
+  pool of ``ReproServer`` worker processes.
 
 Workloads are the same shape the CLI serves: a query in the miniature
 clause syntax grounded over the ``B_p(u, v)`` path block.  The
-server process is the unit of cache sharing — clients are free to
-connect, query, and disconnect per request and still reuse every
-compilation any other client paid for.
+service is the unit of cache sharing — clients are free to connect,
+query, and disconnect per request and still reuse every compilation
+any other client paid for.
 """
 
 from __future__ import annotations
@@ -107,7 +114,7 @@ class Workload:
 class _ServiceTCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
-    service = None  # installed by ReproServer
+    service = None  # installed by ServiceFrontEnd
     #: Whether a serve loop was ever started: ``shutdown`` waits for
     #: that loop to exit, so on a server that never served it would
     #: block forever.
@@ -165,12 +172,12 @@ class WorkloadResolver:
     """A bounded LRU of resolved request targets: query text + block
     length -> grounded lineage plus its ``cnf_fingerprint``.
 
-    Shared by ``ReproServer`` and the multi-process dispatcher
-    (``repro.service.dispatch``) — the dispatcher needs the
-    fingerprint *before* any worker is chosen (consistent-hash
-    routing), and grounding is pure parsing, safe to do twice on a
-    cold cache.  Resolution runs inside a ``dispatch`` span so the
-    stage shows up in every request's trace either way.
+    Owned by the front end, so both backends resolve the same way —
+    the dispatcher needs the fingerprint *before* any worker is chosen
+    (consistent-hash routing), and grounding is pure parsing, safe to
+    do twice (dispatcher, then worker) on a cold cache.  Resolution
+    runs inside a ``dispatch`` span so the stage shows up in every
+    request's trace either way.
     """
 
     def __init__(self, cache_size: int = 128):
@@ -221,19 +228,20 @@ class WorkloadResolver:
         return workload
 
 
-class ReproServer:
-    """The resident query service (see the module docstring).
+class ServiceFrontEnd:
+    """The request front end both services share (see the module
+    docstring).  ``port=0`` binds an ephemeral port (read it back from
+    ``address``); ``budget_nodes`` is the default ``auto``-policy
+    budget; ``auth_tokens`` maps token -> tenant, with ``quota`` and
+    ``tenant_quotas`` the default and per-tenant limits (no tokens: the
+    service stays open and serves the anonymous tenant).
 
-    ``port=0`` binds an ephemeral port — read the chosen one back from
-    ``address``.  ``store`` installs a tier-2 ``CircuitStore`` (path or
-    instance) before serving; ``workers`` bounds concurrent
-    compilations; ``window`` is the sweep-coalescing window in seconds;
-    ``budget_nodes`` is the default ``auto``-policy budget for requests
-    that do not override it.
+    A backend subclass calls ``__init__`` (checks, then binds), adds
+    its ops to ``self._dispatch`` (op -> handler on the params), and
+    implements ``_op_stats``, ``_op_store_gc`` and ``_close_backend``.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 store=None, workers: int = 4, window: float = 0.01,
                  budget_nodes: int | None = wmc.DEFAULT_BUDGET_NODES,
                  workload_cache_size: int = 128,
                  auth_tokens: dict[str, str] | None = None,
@@ -245,17 +253,13 @@ class ReproServer:
                  trace_buffer: int = 256,
                  trace_dir=None,
                  tracer: Tracer | None = None,
-                 clock=time.monotonic,
-                 worker_mode: bool = False):
-        if store is not None:
-            wmc.set_circuit_store(store)
+                 clock=time.monotonic):
         if store_max_bytes is not None and store_max_bytes < 0:
             raise ValueError("store_max_bytes must be non-negative")
         if slow_ms is not None and slow_ms < 0:
             raise ValueError("slow_ms must be non-negative")
         self.default_budget = budget_nodes
-        self.pool = CompilePool(workers)
-        self.coalescer = SweepCoalescer(window)
+        self.store_max_bytes = store_max_bytes
         #: Request tracing: the tracer mints (or propagates) one trace
         #: per request, keeps the last ``trace_buffer`` span trees,
         #: feeds the (op, stage) latency histograms, and logs requests
@@ -268,50 +272,14 @@ class ReproServer:
             slow_threshold=(None if slow_ms is None
                             else slow_ms / 1000.0),
             trace_dir=trace_dir)
-        #: Multi-tenant hardening: token auth plus per-tenant quotas
-        #: (``auth_tokens`` maps token -> tenant; ``quota`` is the
-        #: default limits record, ``tenant_quotas`` per-tenant
-        #: overrides).  With no tokens the service stays open and all
-        #: requests run as the anonymous tenant.
         self.tenants = TenantRegistry(auth_tokens, quota,
                                       tenant_quotas)
-        #: Size cap for the attached tier-2 store: after every fresh
-        #: compilation the store is pruned back under this many bytes
-        #: (oldest access time first) through ``CircuitStore.prune``.
-        self.store_max_bytes = store_max_bytes
-        #: Worker mode (set by ``repro.service.worker`` when this
-        #: server is one process of a dispatcher's pool): every
-        #: response whose request led a fresh compilation carries a
-        #: ``charge`` record with the interned-node count, so the
-        #: dispatcher — the single owner of tenant quota state — can
-        #: apply the spend centrally.  Off by default; the field never
-        #: appears in single-process responses.
-        self.worker_mode = worker_mode
-        #: Service-wide compilation-growth observations: every fresh
-        #: leader compile feeds (clauses, circuit nodes) into one
-        #: ``BudgetPlanner`` whose fit and trajectory are surfaced in
-        #: ``stats`` (the dispatcher merges each worker's records into
-        #: one aggregated planner via ``growth_records``).
-        self.planner = BudgetPlanner()
+        self.workloads = WorkloadResolver(workload_cache_size)
         self._tenant_local = threading.local()
         self._counter_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
         self._op_counts: dict[str, int] = {}
-        #: Adaptive-tier observability: requests answered by a
-        #: sequential sampler, individual estimates that stopped
-        #: before the fixed-n Hoeffding count, and the samples that
-        #: early stopping saved (sum + estimate count -> mean).
-        self._adaptive_requests = 0
-        self._early_stops = 0
-        self._adaptive_estimates = 0
-        self._samples_saved = 0
-        #: Automatic store eviction: prune passes that evicted
-        #: something, entries evicted, bytes reclaimed.
-        self._auto_prunes = 0
-        self._auto_evicted = 0
-        self._auto_reclaimed_bytes = 0
-        self.workloads = WorkloadResolver(workload_cache_size)
         #: Uptime runs on an injectable monotonic clock (dashboards
         #: rate-convert counters against it); ``started_at`` is the
         #: one wall-clock reading, taken exactly once at start-up.
@@ -320,17 +288,8 @@ class ReproServer:
         self._started_at = time.time()
         self._serve_thread = None
         self._dispatch = {
-            "compile": self._op_compile,
-            "evaluate": self._op_evaluate,
-            "evaluate_batch": self._op_evaluate_batch,
-            "sweep": self._op_sweep,
-            "estimate": self._op_estimate,
-            "sample": self._op_sample,
-            "top_k": self._op_top_k,
-            "stats": self._op_stats,
             "metrics": self._op_metrics,
             "trace": self._op_trace,
-            "store_gc": self._op_store_gc,
             "ping": self._op_ping,
             "shutdown": self._op_shutdown,
         }
@@ -352,19 +311,23 @@ class ReproServer:
 
     def start(self) -> tuple[str, int]:
         """Serve on a background daemon thread; returns the address
-        (tests and benchmarks embed the server this way)."""
+        (tests and benchmarks embed the service this way)."""
         self._serve_thread = self._tcp.serve_in_thread("repro-service")
         return self.address
 
     def close(self) -> None:
-        """Stop accepting, close the listener, release the pool (also
-        before ``start`` and a second time)."""
+        """Stop accepting, close the listener, release the backend
+        (also before ``start`` and a second time).  In-flight requests
+        still get an answer on their open connections."""
         self._tcp.stop()
         self._tcp.server_close()
-        self.pool.shutdown()
+        self._close_backend()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5)
             self._serve_thread = None
+
+    def _close_backend(self) -> None:
+        """Release what the backend holds (pools, processes)."""
 
     def __enter__(self):
         self.start()
@@ -402,23 +365,12 @@ class ReproServer:
             # tenant argument through every handler.
             tenant = self.tenants.resolve(auth)
             self._tenant_local.tenant = tenant
-            # Fresh-compile spend accumulates on the request thread
-            # (the compile pool runs only the build on its executor;
-            # the leader/charge logic in _compiled stays on this
-            # thread, as does a coalesced sweep's runner).
-            self._tenant_local.charged_nodes = 0
             self.tenants.charge_request(tenant)
             self._count(op)
             root = self.tracer.root(op, trace_id=trace_id,
                                     tenant=tenant)
             with root:
-                result = self._dispatch[op](params)
-            if self.worker_mode:
-                charged = getattr(self._tenant_local,
-                                  "charged_nodes", 0)
-                if charged:
-                    result = dict(result)
-                    result["charge"] = {"nodes": charged}
+                result = self._run_op(op, params)
             response = ok_response(request_id, op, result)
         except ProtocolError as error:
             self._count(None, error=True)
@@ -434,6 +386,11 @@ class ReproServer:
             response["trace"] = echo
         return response
 
+    def _run_op(self, op: str, params: dict) -> dict:
+        """The op's handler on its params, inside the root span (a
+        subclass may wrap this to annotate results)."""
+        return self._dispatch[op](params)
+
     def _count(self, op: str | None, error: bool = False) -> None:
         with self._counter_lock:
             if op is not None:
@@ -443,10 +400,149 @@ class ReproServer:
                 self._errors += 1
 
     # ------------------------------------------------------------------
-    # Workload resolution (query text + block length -> lineage)
+    # Admin operations
     # ------------------------------------------------------------------
-    def _workload(self, params: dict) -> Workload:
-        return self.workloads.resolve(params)
+    def _op_ping(self, params: dict) -> dict:
+        check_fields(params, ())
+        return {"pong": True}
+
+    def _op_shutdown(self, params: dict) -> dict:
+        check_fields(params, ())
+        # shutdown() blocks until serve_forever returns, so it must run
+        # off-thread; the response is written before the accept loop
+        # notices anything.  The backend is released by close() once
+        # serve_forever has returned (the CLI's finally), so in-flight
+        # work drains first.
+        threading.Thread(target=self._tcp.stop, daemon=True).start()
+        return {"stopping": True}
+
+    def _stats_payload(self, cache: dict, backend: dict,
+                       **sections) -> dict:
+        """The ``stats`` result around a backend's ``cache`` section
+        and ``service`` counters (appended to the front end's)."""
+        uptime = self._clock() - self._started
+        with self._counter_lock:
+            service = {
+                "uptime_s": round(uptime, 3),
+                "uptime_seconds": round(uptime, 6),
+                "started_at": round(self._started_at, 3),
+                "requests": self._requests,
+                "errors": self._errors,
+                "ops": dict(sorted(self._op_counts.items())),
+                "default_budget_nodes": self.default_budget,
+                "workloads_cached": len(self.workloads),
+                "auth_enabled": self.tenants.auth_enabled,
+                "store_max_bytes": self.store_max_bytes,
+            }
+        service.update(backend)
+        tracing = self.tracer.stats()
+        tracing["histograms"] = self.tracer.histograms()
+        return {"cache": cache, "service": service,
+                "tenants": self.tenants.usage(), "tracing": tracing,
+                **sections}
+
+    def _op_metrics(self, params: dict) -> dict:
+        """The ``stats`` payload rendered in the Prometheus text
+        exposition format — a projection, never separate counters, so
+        the two surfaces cannot drift."""
+        check_fields(params, ())
+        return {"content_type": CONTENT_TYPE,
+                "text": render_metrics(self._op_stats({}))}
+
+    def _op_trace(self, params: dict) -> dict:
+        """Completed request traces from the tracer's ring buffer:
+        the newest ``limit`` (or the slow log with ``slow``), or one
+        trace by ``id`` (passed through ``_merge_trace``).  Under
+        auth, a tenant only ever sees its own traces — trace ids are
+        not capabilities."""
+        check_fields(params, ("id", "limit", "slow"))
+        trace_id = take_str(params, "id", default=None)
+        limit = take_int(params, "limit", default=16, minimum=1,
+                         maximum=256)
+        slow = take_bool(params, "slow", default=False)
+        tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
+        scope = tenant if self.tenants.auth_enabled else None
+        if trace_id is not None:
+            found = self.tracer.find(trace_id, tenant=scope)
+            traces = [] if found is None else [self._merge_trace(found)]
+        else:
+            traces = self.tracer.recent(limit, tenant=scope, slow=slow)
+        return {"enabled": self.tracer.enabled,
+                "count": len(traces), "traces": traces}
+
+    def _merge_trace(self, payload: dict) -> dict:
+        """One trace looked up by id, as the ``trace`` op returns it
+        (the dispatcher grafts its workers' span trees in here)."""
+        return payload
+
+
+class ReproServer(ServiceFrontEnd):
+    """The in-process service backend (see the module docstring).
+
+    ``store`` installs a tier-2 ``CircuitStore`` (path or instance)
+    once the listener is bound; ``workers`` bounds concurrent
+    compilations; ``window`` is the sweep-coalescing window in
+    seconds.  Every other keyword argument is ``ServiceFrontEnd``'s.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
+                 store=None, workers: int = 4, window: float = 0.01,
+                 **frontend):
+        self.pool = CompilePool(workers)
+        self.coalescer = SweepCoalescer(window)
+        #: Service-wide compilation-growth observations: every fresh
+        #: leader compile feeds (clauses, circuit nodes) into one
+        #: ``BudgetPlanner`` whose fit and trajectory are surfaced in
+        #: ``stats`` (the dispatcher merges each worker's records into
+        #: one aggregated planner via ``growth_records``).
+        self.planner = BudgetPlanner()
+        #: Guards the planner and the backend counters below.
+        self._stats_lock = threading.Lock()
+        #: Adaptive-tier observability: requests answered by a
+        #: sequential sampler, individual estimates that stopped
+        #: before the fixed-n Hoeffding count, and the samples that
+        #: early stopping saved (sum + estimate count -> mean).
+        self._adaptive_requests = 0
+        self._early_stops = 0
+        self._adaptive_estimates = 0
+        self._samples_saved = 0
+        #: Automatic store eviction (after every fresh compilation the
+        #: store is pruned back under ``store_max_bytes``, oldest
+        #: access time first): prune passes that evicted something,
+        #: entries evicted, bytes reclaimed.
+        self._auto_prunes = 0
+        self._auto_evicted = 0
+        self._auto_reclaimed_bytes = 0
+        super().__init__(host, port, **frontend)
+        self._dispatch.update({
+            "compile": self._op_compile,
+            "evaluate": self._op_evaluate,
+            "evaluate_batch": self._op_evaluate_batch,
+            "sweep": self._op_sweep,
+            "estimate": self._op_estimate,
+            "sample": self._op_sample,
+            "top_k": self._op_top_k,
+            "stats": self._op_stats,
+            "store_gc": self._op_store_gc,
+        })
+        # The store is process-wide state: install it only once every
+        # argument has been checked and the port is bound, so a failed
+        # constructor leaves it untouched.
+        if store is not None:
+            try:
+                wmc.set_circuit_store(store)
+            except BaseException:
+                self.close()
+                raise
+
+    # Defined in this class body, not only inherited: perfbench's
+    # tracer patches ``ReproServer.handle_line`` through this class's
+    # own ``__dict__``.
+    def handle_line(self, line: bytes | str) -> dict:
+        return super().handle_line(line)
+
+    def _close_backend(self) -> None:
+        self.pool.shutdown()
 
     def _compiled(self, workload: Workload,
                   budget_nodes: int | None, build=None):
@@ -460,6 +556,11 @@ class ReproServer:
         cumulative compile budget is spent is refused *before* the
         work is scheduled; the request that crosses the cap is charged
         and refused after it (the circuit stays cached for everyone).
+        The fresh spend also accumulates in the request thread's
+        ``charged_nodes``, which a pool worker reports to its
+        dispatcher (``repro.service.worker``); the leader/charge logic
+        stays on the request thread — the pool runs only ``build`` —
+        as does a coalesced sweep's runner.
         """
         tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
         fresh = not wmc.is_cached(workload.formula)
@@ -473,7 +574,7 @@ class ReproServer:
         if leader and fresh:
             self._autoprune_store()
             if len(workload.formula) >= 1 and circuit.size >= 1:
-                with self._counter_lock:
+                with self._stats_lock:
                     self.planner.observe(len(workload.formula),
                                          circuit.size)
             local = self._tenant_local
@@ -499,7 +600,7 @@ class ReproServer:
             return  # a sick disk must not fail the compile request
         reclaimed = (report.get("bytes_before", 0)
                      - report.get("bytes_after", 0))
-        with self._counter_lock:
+        with self._stats_lock:
             self._auto_prunes += 1
             self._auto_evicted += report.get("removed", 0)
             self._auto_reclaimed_bytes += max(reclaimed, 0)
@@ -517,75 +618,27 @@ class ReproServer:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def _op_ping(self, params: dict) -> dict:
-        check_fields(params, ())
-        return {"pong": True}
-
-    def _op_shutdown(self, params: dict) -> dict:
-        check_fields(params, ())
-        # shutdown() blocks until serve_forever returns, so it must run
-        # off-thread; the response is written before the accept loop
-        # notices anything.
-        threading.Thread(target=self._tcp.stop, daemon=True).start()
-        return {"stopping": True}
-
     def _op_stats(self, params: dict) -> dict:
         check_fields(params, ())
-        uptime = self._clock() - self._started
-        with self._counter_lock:
-            service = {
-                "uptime_s": round(uptime, 3),
-                "uptime_seconds": round(uptime, 6),
-                "started_at": round(self._started_at, 3),
-                "requests": self._requests,
-                "errors": self._errors,
-                "ops": dict(sorted(self._op_counts.items())),
-                "default_budget_nodes": self.default_budget,
-                "workloads_cached": len(self.workloads),
-                "auth_enabled": self.tenants.auth_enabled,
-                "store_max_bytes": self.store_max_bytes,
+        with self._stats_lock:
+            backend = {
                 "auto_prunes": self._auto_prunes,
                 "auto_evicted": self._auto_evicted,
                 "auto_reclaimed_bytes": self._auto_reclaimed_bytes,
             }
             planner_info = dict(self.planner.stats())
             planner_info["growth"] = self.planner.growth_records()
-        service["planner"] = planner_info
-        service.update(self.pool.stats())
-        service.update(self.coalescer.stats())
-        service.update(self._adaptive_stats())
-        tracing = self.tracer.stats()
-        tracing["histograms"] = self.tracer.histograms()
-        return {"cache": wmc.cache_info(), "service": service,
-                "tenants": self.tenants.usage(), "tracing": tracing}
-
-    def _op_metrics(self, params: dict) -> dict:
-        """The ``stats`` payload rendered in the Prometheus text
-        exposition format — a projection, never separate counters, so
-        the two surfaces cannot drift."""
-        check_fields(params, ())
-        return {"content_type": CONTENT_TYPE,
-                "text": render_metrics(self._op_stats({}))}
-
-    def _op_trace(self, params: dict) -> dict:
-        """Completed request traces from the tracer's ring buffer:
-        the newest ``limit`` (or the slow log with ``slow``), or one
-        trace by ``id``.  Under auth, a tenant only ever sees its own
-        traces — trace ids are not capabilities."""
-        check_fields(params, ("id", "limit", "slow"))
-        trace_id = take_str(params, "id", default=None)
-        limit = take_int(params, "limit", default=16, minimum=1,
-                         maximum=256)
-        slow = take_bool(params, "slow", default=False)
-        tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
-        scope = tenant if self.tenants.auth_enabled else None
-        if trace_id is not None:
-            found = self.tracer.find(trace_id, tenant=scope)
-            traces = [] if found is None else [found]
-        else:
-            traces = self.tracer.recent(limit, tenant=scope, slow=slow)
-        return {"enabled": self.tracer.enabled,
-                "count": len(traces), "traces": traces}
+            mean_saved = (round(self._samples_saved
+                                / self._adaptive_estimates, 2)
+                          if self._adaptive_estimates else 0.0)
+            adaptive = {"adaptive_requests": self._adaptive_requests,
+                        "early_stops": self._early_stops,
+                        "mean_samples_saved": mean_saved}
+        backend["planner"] = planner_info
+        backend.update(self.pool.stats())
+        backend.update(self.coalescer.stats())
+        backend.update(adaptive)
+        return self._stats_payload(wmc.cache_info(), backend)
 
     def _op_store_gc(self, params: dict) -> dict:
         """Size-capped eviction on the attached tier-2 store
@@ -619,7 +672,7 @@ class ReproServer:
         if not sequential:
             return
         worst = hoeffding_sample_count(epsilon, delta)
-        with self._counter_lock:
+        with self._stats_lock:
             self._adaptive_requests += 1
             for estimate in sequential:
                 self._adaptive_estimates += 1
@@ -628,19 +681,10 @@ class ReproServer:
                     self._early_stops += 1
                     self._samples_saved += saved
 
-    def _adaptive_stats(self) -> dict:
-        with self._counter_lock:
-            mean_saved = (round(self._samples_saved
-                                / self._adaptive_estimates, 2)
-                          if self._adaptive_estimates else 0.0)
-            return {"adaptive_requests": self._adaptive_requests,
-                    "early_stops": self._early_stops,
-                    "mean_samples_saved": mean_saved}
-
     def _op_compile(self, params: dict) -> dict:
         check_fields(params, ("query", "p", "budget_nodes"))
         budget = take_int(params, "budget_nodes", default=None, minimum=2)
-        workload = self._workload(params)
+        workload = self.workloads.resolve(params)
         # The job itself records where its circuit came from (only the
         # leader of a deduped compile executes `build`, so the probe
         # is per-formula, never contaminated by concurrent requests on
@@ -685,6 +729,13 @@ class ReproServer:
         epsilon = take_fraction(params, "epsilon",
                                 default=DEFAULT_EPSILON)
         delta = take_fraction(params, "delta", default=DEFAULT_DELTA)
+        # Checked up front, whatever the method: the estimator would
+        # otherwise raise mid-request (an ``internal`` error), and an
+        # exact answer would silently accept a meaningless knob.
+        for name, value in (("epsilon", epsilon), ("delta", delta)):
+            if not 0 < value < 1:
+                raise ProtocolError(
+                    "bad-request", f"param {name!r} must be in (0, 1)")
         seed = take_int(params, "seed", default=0)
         estimator = take_str(params, "estimator", default="hoeffding",
                              choices=ESTIMATORS)
@@ -727,8 +778,8 @@ class ReproServer:
         method = take_str(params, "method", default="auto",
                           choices=EVAL_METHODS)
         knobs = self._estimator_knobs(params)
-        return self._evaluate_one(self._workload(params), method,
-                                  *knobs)
+        return self._evaluate_one(self.workloads.resolve(params),
+                                  method, *knobs)
 
     def _op_evaluate_batch(self, params: dict) -> dict:
         check_fields(params, ("query", "ps", "method")
@@ -740,7 +791,7 @@ class ReproServer:
         text = take_str(params, "query")
         results = [
             self._evaluate_one(
-                self._workload({"query": text, "p": p}),
+                self.workloads.resolve({"query": text, "p": p}),
                 method, *knobs)
             for p in ps]
         return {"results": results, "count": len(results)}
@@ -754,7 +805,7 @@ class ReproServer:
                            choices=("exact", "float"))
         budget, epsilon, delta, seed, estimator, relative = \
             self._estimator_knobs(params)
-        workload = self._workload(params)
+        workload = self.workloads.resolve(params)
         r_u, t_v = r_tuple("u"), t_tuple("v")
         if not {r_u, t_v} & workload.formula.variables():
             raise ProtocolError(
@@ -782,6 +833,17 @@ class ReproServer:
                     workload.formula, vectors, budget_nodes=budget,
                     numeric=numeric)
 
+        def per_request(fallback):
+            with span("evaluate", lanes=len(weight_maps),
+                      numeric=numeric, fallback=fallback):
+                sweep = wmc.probability_batch_auto(
+                    workload.formula, weight_maps,
+                    budget_nodes=budget, epsilon=epsilon, delta=delta,
+                    rng=seed, numeric=numeric, estimator=estimator,
+                    relative_error=relative)
+            self._note_estimates(sweep.estimates or [], epsilon, delta)
+            return sweep.values, sweep.engine, sweep.estimates
+
         try:
             # Pay the coalescing window only ahead of a cold
             # compilation — that is when concurrent requests pile up
@@ -796,16 +858,7 @@ class ReproServer:
             # cache makes the retried compile abort instantly, and the
             # request's own rng makes an explicit seed reproduce the
             # same estimates whether or not the request was coalesced.
-            with span("evaluate", lanes=len(weight_maps),
-                      numeric=numeric, fallback="budget"):
-                sweep = wmc.probability_batch_auto(
-                    workload.formula, weight_maps,
-                    budget_nodes=budget, epsilon=epsilon, delta=delta,
-                    rng=seed, numeric=numeric, estimator=estimator,
-                    relative_error=relative)
-            values, engine, estimates = (sweep.values, sweep.engine,
-                                         sweep.estimates)
-            self._note_estimates(estimates or [], epsilon, delta)
+            values, engine, estimates = per_request("budget")
         except ProtocolError as error:
             if error.code != "quota-exceeded":
                 raise
@@ -814,21 +867,10 @@ class ReproServer:
             # compile budget must not refuse every rider.  Retry
             # uncoalesced under this request's own tenant — if this
             # tenant is the exhausted one, the retry raises again,
-            # correctly attributed this time.
-            try:
-                self._compiled(workload, budget)
-            except CompilationBudgetExceeded:
-                pass  # the auto policy below degrades per request
-            with span("evaluate", lanes=len(weight_maps),
-                      numeric=numeric, fallback="quota"):
-                sweep = wmc.probability_batch_auto(
-                    workload.formula, weight_maps,
-                    budget_nodes=budget, epsilon=epsilon, delta=delta,
-                    rng=seed, numeric=numeric, estimator=estimator,
-                    relative_error=relative)
-            values, engine, estimates = (sweep.values, sweep.engine,
-                                         sweep.estimates)
-            self._note_estimates(estimates or [], epsilon, delta)
+            # correctly attributed this time; a blown budget is left
+            # for the auto policy to degrade per request.
+            self._prewarm(workload, budget)
+            values, engine, estimates = per_request("quota")
         result = {
             "fingerprint": workload.fingerprint,
             "engine": engine,
@@ -849,7 +891,7 @@ class ReproServer:
         # inert here (check_fields already rejected budget_nodes).
         _, epsilon, delta, seed, estimator, relative = \
             self._estimator_knobs(params)
-        workload = self._workload(params)
+        workload = self.workloads.resolve(params)
         with span("evaluate", method=estimator):
             estimate = estimate_with(
                 estimator, workload.formula,
@@ -865,7 +907,7 @@ class ReproServer:
     def _sampling_circuit(self, params: dict):
         budget = take_int(params, "budget_nodes", default=None,
                           minimum=2)
-        workload = self._workload(params)
+        workload = self.workloads.resolve(params)
         try:
             circuit = self._compiled(workload, budget)
         except CompilationBudgetExceeded:

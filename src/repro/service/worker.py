@@ -1,15 +1,16 @@
 """Worker-process entry point for the multi-process query service.
 
-``python -m repro.service.worker`` boots one ``ReproServer`` in
-worker mode on an ephemeral port and prints a one-line banner the
-dispatcher (``repro.service.dispatch``) parses to learn the bound
-address — the same handshake ``repro serve`` uses with its smoke and
-bench harnesses.  The worker speaks the full versioned line protocol,
-so it is independently debuggable with a plain ``ServiceClient``.
+``python -m repro.service.worker`` boots one ``WorkerServer`` — the
+in-process ``ReproServer`` backend behind the shared front end — on an
+ephemeral port and prints a one-line banner the dispatcher
+(``repro.service.dispatch``) parses to learn the bound address, the
+same handshake ``repro serve`` uses with its smoke and bench
+harnesses.  The worker speaks the full versioned line protocol, so it
+is independently debuggable with a plain ``ServiceClient``.
 
-Worker mode changes exactly two things relative to ``repro serve``:
+A worker differs from ``repro serve`` in exactly two ways:
 
-* the worker runs **open** (no auth tokens, no quotas) — tenant
+* it runs **open** (no auth tokens, no quotas) — tenant
   authentication and quota state live only in the dispatcher, the one
   process with a complete view of every tenant's spend; and
 * responses whose request led a fresh compilation carry a ``charge``
@@ -34,6 +35,18 @@ from repro.tid import wmc
 #: dispatcher blocks on this exact prefix; change it in lockstep with
 #: ``repro.service.dispatch``.
 BANNER = "repro worker listening on"
+
+
+class WorkerServer(ReproServer):
+    """A pool worker: ``ReproServer`` plus the ``charge`` record."""
+
+    def _run_op(self, op: str, params: dict) -> dict:
+        local = self._tenant_local
+        local.charged_nodes = 0
+        result = super()._run_op(op, params)
+        if local.charged_nodes:
+            result = {**result, "charge": {"nodes": local.charged_nodes}}
+        return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,15 +90,14 @@ def main(argv=None) -> int:
         budget = wmc.DEFAULT_BUDGET_NODES
     else:
         budget = None if args.budget == 0 else args.budget
-    server = ReproServer(
+    server = WorkerServer(
         args.host, args.port,
         store=args.store,
         workers=args.compile_threads,
         window=args.window,
         budget_nodes=budget,
         store_max_bytes=args.store_max_bytes,
-        tracing=not args.no_tracing,
-        worker_mode=True)
+        tracing=not args.no_tracing)
     host, port = server.address
     print(f"{BANNER} {host}:{port}", flush=True)
     try:
