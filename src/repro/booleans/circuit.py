@@ -24,9 +24,9 @@ Decomposability + determinism make the circuit a d-DNNF: weighted model
 counts, unweighted model counts, and all first-order marginals fall out
 of single forward/backward passes.  The compiler mirrors the trace of
 the WMC engine — unit-clause conditioning, independent-component
-factorization via ``clause_components``, Shannon expansion on a
-most-shared variable — but keeps the trace instead of collapsing it to
-one number.
+factorization, Shannon expansion on a separator or most-shared
+variable — but keeps the trace instead of collapsing it to one number.
+It searches on dense integer variable ids, not on the tokens.
 
 Two runtime features round the IR out into a reusable artifact:
 
@@ -45,11 +45,11 @@ import heapq
 import json
 import random
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.booleans.cnf import CNF
-from repro.booleans.connectivity import clause_components
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -181,72 +181,138 @@ class WeightOverlay:
         return pinned[var] if var in pinned else inner(var)
 
 
-#: ``branch_variable`` scores at most this many most-shared candidates
-#: with the separator heuristic; the scan is linear in the formula per
-#: candidate, so the cap bounds pivot selection at a small constant
-#: multiple of the old most-shared rule.
+# ----------------------------------------------------------------------
+# Variable ids and the pivot rule
+# ----------------------------------------------------------------------
+# The compiler never touches variable tokens while it searches: at
+# entry every token gets a dense integer id in ``repr`` order, a clause
+# becomes a frozenset of ids and a formula a frozenset of those
+# clauses.  Because ids follow ``repr`` order, every tie the search
+# breaks on a token's ``repr`` breaks identically on its id — for less
+# than the cost of one ``repr`` call.
+
+#: The pivot rule scores at most this many most-shared candidates with
+#: the separator heuristic.  One pass scores every variable, so the cap
+#: no longer bounds the cost; it stays because it is part of the rule
+#: (a larger cap would pick other pivots and build other circuits).
 _SEPARATOR_CANDIDATES = 6
 
+#: The id-level unsatisfiable formula (the one holding the empty clause).
+_FALSE_IDS = frozenset((frozenset(),))
 
-def _separation(formula: CNF, var) -> int:
-    """The number of connected components of the clause graph once
-    ``var`` is deleted from every clause.
 
-    Both Shannon cofactors on ``var`` erase it from the residual
-    formula, so this lower-bounds how many independent factors
-    ``clause_components`` finds in *each* branch: a separator variable
-    (count > 1) lets the compiler recurse on strictly smaller pieces
-    instead of one interleaved formula.
-    """
-    reduced = [clause - {var} for clause in formula.clauses]
-    reduced = [clause for clause in reduced if clause]
-    if len(reduced) <= 1:
-        return len(reduced)
-    incidence: dict[object, list[int]] = {}
-    for i, clause in enumerate(reduced):
+def _id_table(formula: CNF) -> tuple[list, frozenset]:
+    """``(tokens, clauses)``: the formula's tokens sorted by ``repr``
+    (a token's id is its index) and its clause set over those ids."""
+    tokens = sorted(formula.variables(), key=repr)
+    ids = {token: vid for vid, token in enumerate(tokens)}
+    return tokens, frozenset(
+        frozenset([ids[v] for v in clause]) for clause in formula.clauses)
+
+
+def _incidence(clauses: frozenset) -> dict[int, list[frozenset]]:
+    """Variable id -> the clauses that mention it."""
+    incidence: defaultdict[int, list[frozenset]] = defaultdict(list)
+    for clause in clauses:
         for v in clause:
-            incidence.setdefault(v, []).append(i)
-    seen = [False] * len(reduced)
-    components = 0
-    for start in range(len(reduced)):
-        if seen[start]:
+            incidence[v].append(clause)
+    return incidence
+
+
+def _flood(incidence: dict) -> list[list[int]]:
+    """The variable sets of the clause graph's connected components
+    (clauses are adjacent when they share a variable)."""
+    seen = set()
+    parts = []
+    for start in incidence:
+        if start in seen:
             continue
-        components += 1
-        stack = [start]
-        seen[start] = True
+        seen.add(start)
+        part = [start]
+        for v in part:  # grows while scanned: a breadth-first fill
+            for clause in incidence[v]:
+                for w in clause:
+                    if w not in seen:
+                        seen.add(w)
+                        part.append(w)
+        parts.append(part)
+    return parts
+
+
+def _separations(incidence: dict) -> dict[int, int]:
+    """For every variable, the number of connected components of the
+    clause graph once that variable is deleted from every clause.
+
+    Both Shannon cofactors on a variable erase it from the residual
+    formula, so this lower-bounds how many independent factors the
+    compiler finds in *each* branch.  One depth-first pass over the
+    variables (adjacent when they share a clause) finds them all, by
+    Hopcroft-Tarjan low points: deleting ``v`` splits its own tree into
+    one piece per child ``c`` with ``low[c] >= disc[v]``, plus the
+    piece above ``v`` unless ``v`` is the tree's root.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    splits: dict[int, int] = {}
+    trees = 0
+    for root in incidence:
+        if root in disc:
+            continue
+        trees += 1
+        disc[root] = low[root] = len(disc)
+        splits[root] = -1  # a root has no piece above it
+        stack = [(root, iter(frozenset().union(*incidence[root])))]
         while stack:
-            i = stack.pop()
-            for v in reduced[i]:
-                for j in incidence[v]:
-                    if not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-    return components
+            v, neighbours = stack[-1]
+            for w in neighbours:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    splits[w] = 0
+                    stack.append(
+                        (w, iter(frozenset().union(*incidence[w]))))
+                    break
+                # w is a visited neighbour (possibly v's parent, or v
+                # itself): it can only lower v's low point.
+                if low[v] > disc[w]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] >= disc[u]:
+                        splits[u] += 1
+                    if low[u] > low[v]:
+                        low[u] = low[v]
+    # Every other tree stays whole; v's own tree falls into
+    # 1 + splits[v] pieces.
+    return {v: trees + count for v, count in splits.items()}
 
 
-def branch_variable(formula: CNF):
+def _pivot(clauses: frozenset, incidence: dict) -> int:
     """The Shannon-expansion pivot: a cutset/separator variable when
     one exists, else a most-shared variable.
 
     The top ``_SEPARATOR_CANDIDATES`` most-shared variables are scored
-    by how many clause components remain after deleting the variable
-    (``_separation``); conditioning on a separator factors both
-    cofactors into independent pieces, which hash-consing then shares —
-    smaller circuits before they are ever evaluated or taped.  All ties
-    break deterministically on the token's repr, preserving the
-    byte-identical-across-hash-seeds serialization contract.
+    by how many clause components remain once the variable is deleted
+    (``_separations``): both cofactors on a separator factor into
+    independent pieces, which hash-consing then shares — smaller
+    circuits before they are ever evaluated or taped.  Remaining ties
+    go to the largest id.
     """
-    counts: dict[object, int] = {}
-    for clause in formula.clauses:
-        for var in clause:
-            counts[var] = counts.get(var, 0) + 1
-    if len(counts) <= 2 or len(formula.clauses) < 3:
-        return max(counts, key=lambda v: (counts[v], repr(v)))
-    candidates = sorted(counts, key=lambda v: (-counts[v], repr(v)))
+    if len(incidence) <= 2 or len(clauses) < 3:
+        return max(incidence, key=lambda v: (len(incidence[v]), v))
+    candidates = sorted(incidence, key=lambda v: (-len(incidence[v]), v))
     candidates = candidates[:_SEPARATOR_CANDIDATES]
+    separation = _separations(incidence)
     return max(candidates,
-               key=lambda v: (_separation(formula, v), counts[v],
-                              repr(v)))
+               key=lambda v: (separation[v], len(incidence[v]), v))
+
+
+def branch_variable(formula: CNF):
+    """The pivot token the compiler would branch on in ``formula``
+    (for the recursive engine, ``repro.tid.wmc.shannon_probability``)."""
+    tokens, clauses = _id_table(formula)
+    return tokens[_pivot(clauses, _incidence(clauses))]
 
 
 class Circuit:
@@ -761,34 +827,63 @@ def _kbest_smooth(candidates: list, free_vars, lookup, k: int) -> list:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-class _Compiler:
-    """Hash-consing compiler from minimized monotone CNFs to circuits."""
+def _cofactors(clauses: frozenset, incidence: dict,
+               var: int) -> tuple[frozenset, frozenset]:
+    """``(F[var:=1], F[var:=0])`` of a minimized id-level formula, both
+    minimized.
 
-    def __init__(self, budget_nodes: int | None = None):
+    Setting ``var`` true drops the clauses that mention it.  Setting it
+    false shrinks those clauses instead; a shrunk clause cannot be
+    absorbed by any other clause (the formula was minimal), but it can
+    absorb untouched clauses, which must then contain all of it — so
+    only the clauses sharing its smallest variable are checked.
+    """
+    touched = incidence[var]
+    rest = clauses.difference(touched)
+    drop = frozenset((var,))
+    shrunk = [clause - drop for clause in touched]
+    absorbed = set()
+    for small in shrunk:
+        if not small:
+            return rest, _FALSE_IDS
+        for clause in incidence[min(small)]:
+            if var not in clause and small <= clause:
+                absorbed.add(clause)
+    return rest, rest.difference(absorbed).union(shrunk)
+
+
+class _Compiler:
+    """Hash-consing compiler from minimized monotone CNFs over variable
+    ids to circuits over the original tokens."""
+
+    def __init__(self, tokens: Sequence, budget_nodes: int | None = None):
         if budget_nodes is not None and budget_nodes < 2:
             # The two constant nodes below always exist; a budget that
             # cannot even hold them is a caller error, not a blow-up.
             raise ValueError("budget_nodes must be at least 2")
+        self.tokens = tokens
         self.budget_nodes = budget_nodes
         self.nodes: list[tuple] = []
+        # Keyed on the id form of each node; ``nodes`` holds the token
+        # form.  The two are in bijection, so interning is unchanged.
         self._intern_table: dict[tuple, int] = {}
-        self.true_id = self._intern((TRUE,))
-        self.false_id = self._intern((FALSE,))
-        self._memo: dict[CNF, int] = {}
+        self.true_id = self._intern((TRUE,), (TRUE,))
+        self.false_id = self._intern((FALSE,), (FALSE,))
+        self._memo: dict[frozenset, int] = {}
 
-    def _intern(self, node: tuple) -> int:
-        nid = self._intern_table.get(node)
+    def _intern(self, key: tuple, node: tuple) -> int:
+        nid = self._intern_table.get(key)
         if nid is None:
             if self.budget_nodes is not None and \
                     len(self.nodes) >= self.budget_nodes:
                 raise CompilationBudgetExceeded(self.budget_nodes)
             nid = len(self.nodes)
             self.nodes.append(node)
-            self._intern_table[node] = nid
+            self._intern_table[key] = nid
         return nid
 
-    def leaf(self, var) -> int:
-        return self._intern((LEAF, var))
+    def leaf(self, var: int) -> int:
+        return self._intern((LEAF, var), (LEAF, self.tokens[var]))
 
     def conjoin(self, children: Iterable[int]) -> int:
         flat: set[int] = set()
@@ -807,54 +902,57 @@ class _Compiler:
         if len(flat) == 1:
             # repro: allow[determinism] singleton set: order-free by construction
             return next(iter(flat))
-        return self._intern((AND, tuple(sorted(flat))))
+        node = (AND, tuple(sorted(flat)))
+        return self._intern(node, node)
 
-    def decide(self, var, hi: int, lo: int) -> int:
+    def decide(self, var: int, hi: int, lo: int) -> int:
         if hi == lo:
             return hi
-        return self._intern((ITE, var, hi, lo))
+        return self._intern((ITE, var, hi, lo),
+                            (ITE, self.tokens[var], hi, lo))
 
     # ------------------------------------------------------------------
-    def compile(self, formula: CNF) -> int:
-        if formula.is_true():
+    def compile(self, clauses: frozenset) -> int:
+        if not clauses:
             return self.true_id
-        if formula.is_false():
+        if frozenset() in clauses:
             return self.false_id
-        hit = self._memo.get(formula)
+        hit = self._memo.get(clauses)
         if hit is not None:
             return hit
-        nid = self._compile_uncached(formula)
-        self._memo[formula] = nid
+        nid = self._compile_uncached(clauses)
+        self._memo[clauses] = nid
         return nid
 
-    def _compile_uncached(self, formula: CNF) -> int:
+    def _compile_uncached(self, clauses: frozenset) -> int:
         # Unit clauses force their variable true: {X} & F == X & F[X:=1],
         # a decomposable product because conditioning removes X.  The
-        # min-by-repr choice keeps compilation order-independent.
-        units = [clause for clause in formula.clauses if len(clause) == 1]
+        # min-id choice keeps compilation order-independent.
+        units = [clause for clause in clauses if len(clause) == 1]
         if units:
-            var = min((next(iter(c)) for c in units), key=repr)
+            var = min([v for clause in units for v in clause])
             return self.conjoin([
                 self.leaf(var),
-                self.compile(formula.condition(var, True))])
+                self.compile(frozenset(
+                    [clause for clause in clauses if var not in clause]))])
 
-        groups = clause_components(formula)
-        if len(groups) > 1:
-            # Component order follows frozenset iteration, which varies
-            # with PYTHONHASHSEED; sorting by each component's minimal
-            # variable repr (components are variable-disjoint, so keys
-            # are distinct) pins the traversal — and with it the node
-            # numbering, making ``Circuit.to_bytes`` byte-identical
-            # across runs and hash seeds.
-            groups.sort(key=lambda g: min(repr(v) for c in g for v in c))
+        incidence = _incidence(clauses)
+        parts = _flood(incidence)
+        if len(parts) > 1:
+            # Components are variable-disjoint, so their minimal ids
+            # are distinct keys; sorting on them pins the traversal —
+            # and with it the node numbering, making
+            # ``Circuit.to_bytes`` byte-identical across runs and hash
+            # seeds.
+            parts.sort(key=min)
             return self.conjoin(
-                self.compile(CNF._from_minimized(group))
-                for group in groups)
+                self.compile(frozenset().union(
+                    *[incidence[v] for v in part]))
+                for part in parts)
 
-        var = branch_variable(formula)
-        hi = self.compile(formula.condition(var, True))
-        lo = self.compile(formula.condition(var, False))
-        return self.decide(var, hi, lo)
+        var = _pivot(clauses, incidence)
+        hi, lo = _cofactors(clauses, incidence, var)
+        return self.decide(var, self.compile(hi), self.compile(lo))
 
 
 def compile_cnf(formula: CNF,
@@ -867,12 +965,17 @@ def compile_cnf(formula: CNF,
     circuits should go through ``repro.tid.wmc.compiled``, the
     module-level compilation cache.
 
+    The search runs on dense integer variable ids assigned in ``repr``
+    order (``_id_table``); tokens reappear only in the interned leaf and
+    decision nodes.
+
     ``budget_nodes`` caps the interned-node count: once the compiler
     would intern one node past the budget it raises
     ``CompilationBudgetExceeded`` (abandoning the partial circuit), the
     signal for budgeted callers to degrade to approximate counting
     (``repro.booleans.approximate``).
     """
-    compiler = _Compiler(budget_nodes)
-    root = compiler.compile(formula)
+    tokens, clauses = _id_table(formula)
+    compiler = _Compiler(tokens, budget_nodes)
+    root = compiler.compile(clauses)
     return Circuit(tuple(compiler.nodes), root)

@@ -436,7 +436,12 @@ def cnf_probability_auto(formula: CNF, prob: Mapping | None = None,
         return AutoProbability(estimate.estimate,
                                ENGINE_LABELS[estimator], estimate)
     _observe(planner, formula, circuit)
-    return AutoProbability(circuit.probability(prob, default), "exact")
+    # Evaluating on ensure_tape's tape lets the disk store's sidecar
+    # satisfy the flattening, so a restarted process answers its first
+    # evaluate without re-flattening (as probability_batch_auto does).
+    tape = ensure_tape(formula, circuit)
+    return AutoProbability(tape.evaluate([prob], "exact", default)[0],
+                           "exact")
 
 
 def probability_batch_auto(formula: CNF, weight_specs,

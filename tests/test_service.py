@@ -544,6 +544,22 @@ class TestTapeService:
         as well."""
         self._restart_against_warm_store(tmp_path, "exact")
 
+    def test_warm_store_evaluate_never_reflattens(self, tmp_path):
+        """A single exact evaluate after a restart adopts the store's
+        tape sidecar too, instead of flattening the stored circuit."""
+        with ReproServer(port=0, store=str(tmp_path)) as server:
+            with ServiceClient(*server.address) as c:
+                first = c.evaluate(QUERY, p=4)
+                assert c.stats()["cache"]["tape_flattens"] == 1
+
+                wmc.clear_circuit_cache()  # simulate a restart
+                again = c.evaluate(QUERY, p=4)
+                stats = c.stats()["cache"]
+                assert stats["compiles"] == 0
+                assert stats["tape_flattens"] == 0
+                assert stats["tape_hits"] >= 1
+                assert again["value"] == first["value"]
+
     @staticmethod
     def _restart_against_warm_store(tmp_path, numeric):
         with ReproServer(port=0, store=str(tmp_path)) as server:
