@@ -124,8 +124,9 @@ def check_auto_beats_exact(n: int, budget_nodes: int
     wmc.clear_circuit_cache()
     start = time.perf_counter()
     answer = wmc.cnf_probability_auto(
-        formula, weights, budget_nodes=budget_nodes,
-        epsilon=EPSILON, delta=DELTA, rng=0)
+        formula, weights, policy=wmc.EvalPolicy(
+            budget_nodes=budget_nodes, epsilon=EPSILON, delta=DELTA,
+            rng=0))
     t_auto = time.perf_counter() - start
 
     record = {

@@ -1,11 +1,11 @@
 """Knowledge compilation: compile-once-evaluate-many vs recompute WMC.
 
 Shape expectations: compiling a block-matrix-sized lineage costs about
-one run of the recursive Shannon engine, after which every extra weight
-vector is a linear circuit pass — so for k >= 4 evaluations the
-compiled pipeline must beat k independent recursive runs (the
-pre-compilation behaviour of ``cnf_probability``), and the gap must
-widen with k.
+one run of the recursive Shannon engine (``tests/shannon_oracle.py``,
+loaded by path), after which every extra weight vector is a linear
+circuit pass — so for k >= 4 evaluations the compiled pipeline must
+beat k independent recursive runs (the pre-compilation behaviour of
+``cnf_probability``), and the gap must widen with k.
 
 Runable two ways:
 
@@ -37,7 +37,6 @@ from repro.reduction.blocks import path_block, reduction_tid
 from repro.reduction.type1 import Type1Reduction
 from repro.tid.database import r_tuple
 from repro.tid.lineage import lineage
-from repro.tid.wmc import shannon_probability
 
 F = Fraction
 HALF = F(1, 2)
@@ -96,14 +95,17 @@ def cycle8_lineage(p=12):
     return lineage(query, reduction_tid(query, nodes, edges, [p, p]))
 
 
-def load_frozen_compiler():
-    """``tests/frozen_compiler.py``'s ``frozen_compile_cnf``."""
-    path = Path(__file__).resolve().parent.parent / "tests" / \
-        "frozen_compiler.py"
-    spec = importlib.util.spec_from_file_location("frozen_compiler", path)
+def load_test_module(name: str):
+    """``tests/<name>.py``, loaded by path (``tests/`` is no package):
+    the frozen compiler and the recursive Shannon oracle live there."""
+    path = Path(__file__).resolve().parent.parent / "tests" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.frozen_compile_cnf
+    return module
+
+
+shannon_probability = load_test_module("shannon_oracle").shannon_probability
 
 
 def compile_all(compile_, formulas):
@@ -165,7 +167,8 @@ def frozen_gate(quick: bool) -> tuple[list, bool]:
     """Time ``compile_cnf`` against the frozen compiler on both
     lineage families; fails on a node-table mismatch or a speedup
     below ``FROZEN_SPEEDUP_GATES``."""
-    frozen_compile_cnf = load_frozen_compiler()
+    frozen_compile_cnf = \
+        load_test_module("frozen_compiler").frozen_compile_cnf
     families = {"reduction": reduction_lineages(5 if quick else 7),
                 "cycle8": [cycle8_lineage()]}
     print(f"\n{'family':>10s} {'lineages':>8s} {'frozen':>11s} "

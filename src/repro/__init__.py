@@ -24,7 +24,9 @@ The public API re-exports the main objects:
 * budgeted approximation: ``compile_cnf(..., budget_nodes=...)`` /
   :class:`CompilationBudgetExceeded`, ``estimate_probability`` /
   :class:`ProbabilityEstimate` (Monte-Carlo with Hoeffding bounds),
-  and ``cnf_probability_auto`` (exact under budget, else estimate);
+  ``cnf_probability_auto`` (exact under budget, else estimate), and
+  :class:`EvalPolicy` / ``EXACT`` (the budget and estimator knobs of
+  every budgeted entry point, validated once);
 * adaptive estimation: ``adaptive_estimate_probability``
   (empirical-Bernstein early stopping),
   ``importance_estimate_probability`` (self-normalized tilted
@@ -74,7 +76,12 @@ from repro.booleans.approximate import (
     estimate_probability,
 )
 from repro.booleans.store import CircuitStore, cnf_fingerprint
-from repro.tid.wmc import cnf_probability_auto, set_circuit_store
+from repro.tid.wmc import (
+    EXACT,
+    EvalPolicy,
+    cnf_probability_auto,
+    set_circuit_store,
+)
 from repro.evaluation import (
     EvaluationResult,
     evaluate,
@@ -109,6 +116,8 @@ __all__ = [
     "evaluate_batch",
     "probability_sweep",
     "EvaluationResult",
+    "EvalPolicy",
+    "EXACT",
     "BudgetPlanner",
     "Circuit",
     "CircuitStore",

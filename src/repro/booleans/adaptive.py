@@ -43,12 +43,12 @@ hash-seed-deterministic like the rest of the codebase:
   ``budget_nodes`` so Type-II sweeps abort hopeless factors early and
   never strangle easy ones.
 
-Everything downstream reaches these through the ``estimator`` tier of
-the ``auto`` policy (``repro.tid.wmc.cnf_probability_auto`` /
-``probability_batch_auto`` with ``estimator="adaptive"`` or
-``"importance"``), the ``"adaptive"`` evaluation method, the reduction
-sweeps' ``method="adaptive"``, the CLI's ``--engine``, and the service
-protocol's per-request ``estimator`` override.
+Everything downstream reaches these through the ``estimator`` (and
+``planner``) fields of ``repro.tid.wmc.EvalPolicy`` — which every
+budgeted entry point takes as its ``policy``: ``evaluate``, the sweeps,
+the reductions, the CLI's ``--engine`` and the service protocol's
+per-request ``estimator`` override — and through the ``"adaptive"``
+and ``"importance"`` evaluation methods.
 """
 
 from __future__ import annotations
@@ -90,22 +90,6 @@ ESTIMATORS = ("hoeffding", "adaptive", "importance")
 #: ``"estimate"`` keeps the PR 3 name for the fixed-n Hoeffding path.
 ENGINE_LABELS = {"hoeffding": "estimate", "adaptive": "adaptive",
                  "importance": "importance"}
-
-
-def resolve_sweep_method(method: str, estimator: str,
-                         allowed=("exact", "auto")) -> tuple[str, str]:
-    """Normalize a reduction sweep's (method, estimator) pair:
-    ``"adaptive"`` is the ``auto`` policy with the sequential sampler
-    as its degraded engine (an explicitly chosen non-default estimator
-    wins).  Raises on anything outside ``allowed`` + ``"adaptive"``."""
-    if method == "adaptive":
-        return "auto", ("adaptive" if estimator == "hoeffding"
-                        else estimator)
-    if method not in allowed:
-        raise ValueError(
-            f"method must be one of {', '.join(allowed)}, or "
-            f"'adaptive', got {method!r}")
-    return method, estimator
 
 #: First empirical-Bernstein checkpoint and the batch growth factor:
 #: checkpoint k sees INITIAL_BATCH * GROWTH^k samples, so the number of

@@ -310,7 +310,7 @@ def _pivot(clauses: frozenset, incidence: dict) -> int:
 
 def branch_variable(formula: CNF):
     """The pivot token the compiler would branch on in ``formula``
-    (for the recursive engine, ``repro.tid.wmc.shannon_probability``)."""
+    (for the recursive test oracle in ``tests/shannon_oracle.py``)."""
     tokens, clauses = _id_table(formula)
     return tokens[_pivot(clauses, _incidence(clauses))]
 

@@ -206,34 +206,33 @@ def _load_circuit(path: str, formula):
     return circuit
 
 
-def _resolve_engine(args) -> tuple[str, Fraction | None]:
-    """The (estimator, relative_error) pair of the CLI knobs: a
-    relative target implies the sequential sampler unless an engine
-    was named explicitly (the fixed-n Hoeffding estimator has no
-    relative mode)."""
-    engine = getattr(args, "engine", "hoeffding")
-    relative = getattr(args, "relative_error", None)
-    if relative is not None:
-        if relative <= 0:
-            raise SystemExit(
-                f"repro: --relative-error must be positive, "
-                f"got {relative}")
-        if engine == "hoeffding":
-            engine = "adaptive"
-    return engine, relative
+def _policy(args):
+    """The command's ``EvalPolicy``, built once from its flags; a value
+    the policy rejects exits like any other bad flag."""
+    from repro.tid.wmc import EvalPolicy
+
+    try:
+        return EvalPolicy(
+            budget_nodes=getattr(args, "budget", None),
+            epsilon=args.epsilon, delta=args.delta, rng=args.seed,
+            estimator=args.engine, relative_error=args.relative_error)
+    except ValueError as error:
+        # The policy names a knob by its field; name the flag instead.
+        raise SystemExit(f"repro: --{str(error).replace('_', '-')}") \
+            from None
 
 
-def _print_estimate(query, args, formula, tid, reason: str):
-    """Run and report the Monte-Carlo estimator (the degraded path of
-    ``repro compile --budget`` and the whole of ``repro estimate``)."""
+def _print_estimate(query, args, policy, formula, tid, reason: str):
+    """Run and report the ``policy``'s Monte-Carlo estimator (the
+    degraded path of ``repro compile --budget`` and the whole of
+    ``repro estimate``)."""
     from repro.booleans.adaptive import ENGINE_LABELS, estimate_with
     from repro.booleans.approximate import hoeffding_sample_count
 
-    engine, relative = _resolve_engine(args)
+    engine = policy.estimator
     estimate = estimate_with(
-        engine, formula, tid.probability,
-        epsilon=args.epsilon, delta=args.delta, rng=args.seed,
-        relative_error=relative)
+        engine, formula, tid.probability, policy.epsilon, policy.delta,
+        policy.rng, relative_error=policy.relative_error)
     print(f"query:      {query}")
     print(f"block:      B_{args.p}(u, v)")
     print(f"lineage:    {len(formula)} clauses over "
@@ -250,7 +249,7 @@ def _print_estimate(query, args, formula, tid, reason: str):
     samples_line = (f"samples:    {estimate.samples} "
                     f"({estimate.successes} satisfying)")
     if engine != "hoeffding":
-        worst = hoeffding_sample_count(args.epsilon, args.delta)
+        worst = hoeffding_sample_count(policy.epsilon, policy.delta)
         if estimate.samples < worst:
             samples_line += (f" — early stop saved "
                              f"{worst - estimate.samples} of the "
@@ -260,13 +259,14 @@ def _print_estimate(query, args, formula, tid, reason: str):
 
 
 def cmd_estimate(args) -> int:
-    from repro.tid.wmc import compiled
+    from repro.tid.wmc import cnf_probability
 
+    policy = _policy(args)
     query, tid, formula = _block_workload(args)
-    estimate = _print_estimate(query, args, formula, tid,
+    estimate = _print_estimate(query, args, policy, formula, tid,
                                f"seed {args.seed}")
     if args.check:
-        exact = compiled(formula).probability(tid.probability)
+        exact = cnf_probability(formula, tid.probability)
         inside = estimate.contains(exact)
         print(f"exact:      {exact} ({float(exact):.6f}) — "
               f"{'inside' if inside else 'OUTSIDE'} the interval")
@@ -277,8 +277,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_compile(args) -> int:
     from repro.booleans.circuit import CompilationBudgetExceeded
-    from repro.tid.wmc import cache_info, compiled
+    from repro.tid.wmc import cache_info, cnf_probability, compiled
 
+    policy = _policy(args)
     query, tid, formula = _block_workload(args)
     if args.load:
         circuit = _load_circuit(args.load, formula)
@@ -289,7 +290,7 @@ def cmd_compile(args) -> int:
             circuit = compiled(formula, args.budget)
         except CompilationBudgetExceeded:
             _print_estimate(
-                query, args, formula, tid,
+                query, args, policy, formula, tid,
                 f"compilation exceeded {args.budget} nodes")
             if args.save:
                 # The caller asked for an artifact that was never
@@ -317,7 +318,7 @@ def cmd_compile(args) -> int:
     print(f"node breakdown: {stats['decision_nodes']} decision, "
           f"{stats['product_nodes']} product, "
           f"{stats['leaf_nodes']} leaf")
-    value = circuit.probability(tid.probability)
+    value = cnf_probability(formula, tid.probability)
     print(f"Pr(Q) at block weights: {value}")
     print(f"lineage model count:    "
           f"{circuit.model_count(formula.variables())}")
@@ -329,10 +330,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.evaluation import endpoint_weight_grid, probability_sweep
+    from repro.evaluation import check_float_sweep, endpoint_weight_grid
     from repro.tid.database import r_tuple, t_tuple
-    from repro.tid.wmc import cache_info
+    from repro.tid.wmc import cache_info, probability_batch_auto
 
+    policy = _policy(args)
     query, tid, formula = _block_workload(args)
     if args.load:
         _load_circuit(args.load, formula)
@@ -347,40 +349,20 @@ def cmd_sweep(args) -> int:
             f"evaluate the same weights at every grid point (queries "
             f"without R/T atoms have nothing to sweep here)")
     weight_maps = endpoint_weight_grid(formula, tid, k)
-    engine = "exact"
-    estimates = None
-    if args.budget is not None:
-        from repro.booleans.adaptive import (
-            ENGINE_LABELS,
-            estimate_batch_with,
-        )
-        from repro.booleans.circuit import CompilationBudgetExceeded
-        from repro.tid.wmc import compiled
-
-        # Probe-then-dispatch rather than wmc.probability_batch_auto:
-        # the exact branch must keep --float's cross-check and
-        # --processes (which the auto primitive does not carry) without
-        # evaluating the batch twice.
-        try:
-            compiled(formula, args.budget)
-        except CompilationBudgetExceeded:
-            sampler, relative = _resolve_engine(args)
-            engine = ENGINE_LABELS[sampler]
-            estimates = estimate_batch_with(
-                sampler, formula, weight_maps, args.epsilon,
-                args.delta, args.seed, relative_error=relative)
-            values = [estimate.estimate for estimate in estimates]
-    if engine == "exact":
-        # Compiled (under budget if one was given, so the circuit is
-        # already cached) — the exact path keeps its --float
-        # cross-check and --processes behaviour either way.
-        values = probability_sweep(
-            formula, weight_maps,
-            numeric="float" if args.float else "exact",
-            processes=args.processes)
+    sweep = probability_batch_auto(
+        formula, weight_maps,
+        numeric="float" if args.float else "exact", policy=policy)
+    engine, estimates = sweep.engine, sweep.estimates
+    if estimates is None:
+        values = sweep.values
+        if args.float:
+            check_float_sweep(formula, weight_maps, values)
+    else:
+        # Estimates print as exact rationals in either numeric mode.
+        values = [estimate.estimate for estimate in estimates]
     print(f"query:   {query}")
-    # --float and --processes only apply to the exact engine; don't
-    # claim a numeric mode that did not run.
+    # --float only applies to the exact engine; don't claim a numeric
+    # mode that did not run.
     print(f"block:   B_{args.p}(u, v), {k}-vector endpoint sweep"
           f"{' (float fast path)' if args.float and engine == 'exact' else ''}")
     if estimates:
@@ -836,9 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--float", action="store_true",
                          help="float fast path (cross-checked against "
                               "exact Fractions on sampled vectors)")
-    p_sweep.add_argument("--processes", type=int, default=None,
-                         help="split the sweep across N worker "
-                              "processes")
     p_sweep.add_argument("--load", metavar="PATH",
                          help="load a --save'd circuit instead of "
                               "compiling")

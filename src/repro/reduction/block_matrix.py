@@ -7,7 +7,9 @@ every random tuple has probability 1/2 (Eq. 20).  Lemma 3.19 proves
 
 which lets the reduction evaluate z_ab(p) by exact matrix powers instead
 of exponential WMC; ``z_matrix_direct`` (WMC) and ``z_matrix_power``
-must agree — that equality is experiment E5.
+must agree — that equality is experiment E5.  ``z_matrix_direct`` is
+exact by default; a budgeted ``repro.tid.wmc.EvalPolicy`` lets it
+degrade to estimates on lineages too large to compile.
 
 Theorem 3.14 then gives z_i(p) = a_i lambda1^p + b_i lambda2^p with the
 three conditions (22)-(24), verified exactly in Q(sqrt(disc)) by
@@ -26,29 +28,18 @@ from repro.algebra.eigen2x2 import (
     spectral_decomposition_2x2,
 )
 from repro.algebra.matrices import Matrix
-from repro.booleans.adaptive import resolve_sweep_method
-from repro.booleans.approximate import DEFAULT_DELTA, DEFAULT_EPSILON
 from repro.core.queries import Query
 from repro.reduction.blocks import path_block
 from repro.tid.database import r_tuple
 from repro.tid.lineage import lineage
-from repro.tid.wmc import (
-    DEFAULT_BUDGET_NODES,
-    compiled,
-    ensure_tape,
-    probability_batch_auto,
-)
+from repro.tid.wmc import EXACT, EvalPolicy, probability_batch_auto
 
 HALF = Fraction(1, 2)
 
 
 def z_matrix_direct(query: Query, p: int, *,
-                    method: str = "exact",
                     numeric: str = "exact",
-                    budget_nodes: int | None = DEFAULT_BUDGET_NODES,
-                    epsilon=DEFAULT_EPSILON, delta=DEFAULT_DELTA,
-                    rng=None, estimator: str = "hoeffding",
-                    relative_error=None, planner=None) -> Matrix:
+                    policy: EvalPolicy = EXACT) -> Matrix:
     """A(p) computed honestly: ground B_p(u, v), compile the lineage
     once, and sweep the endpoint conditioning grid over the circuit.
 
@@ -58,13 +49,10 @@ def z_matrix_direct(query: Query, p: int, *,
     the probabilities are bit-identical to conditioning structurally
     and re-running WMC per entry.
 
-    ``method="auto"`` runs the sweep under the compilation budget and
-    degrades each entry to an (epsilon, delta) estimate when the
-    lineage blows up (``budget_nodes``/``epsilon``/``delta``/``rng``/
-    ``estimator``/``relative_error``/``planner`` as in
-    ``repro.tid.wmc.probability_batch_auto``); ``method="adaptive"``
-    is ``auto`` with the sequential empirical-Bernstein sampler as the
-    degraded engine.  The default is the unconditionally exact path.
+    A budgeted ``policy`` (``repro.tid.wmc.EvalPolicy``) runs the
+    sweep under its compilation budget and degrades each entry to an
+    (epsilon, delta) estimate from its estimator when the lineage
+    blows up.  The default ``EXACT`` policy never degrades.
 
     ``numeric="float"`` answers the grid in hardware floats on the
     flat instruction tape (``repro.booleans.tape``) — the fast engine
@@ -79,22 +67,8 @@ def z_matrix_direct(query: Query, p: int, *,
         (lambda t, pinned={r_u: Fraction(a), r_v: Fraction(b)}:
             pinned.get(t, base(t)))
         for a in (0, 1) for b in (0, 1)]
-    method, estimator = resolve_sweep_method(method, estimator)
-    if numeric not in ("exact", "float"):
-        raise ValueError(
-            f"numeric must be 'exact' or 'float', got {numeric!r}")
-    if method == "auto":
-        answer = probability_batch_auto(
-            formula, grid, budget_nodes=budget_nodes,
-            epsilon=epsilon, delta=delta, rng=rng,
-            estimator=estimator, relative_error=relative_error,
-            numeric=numeric, planner=planner)
-        z00, z01, z10, z11 = answer.values
-    else:
-        circuit = compiled(formula)
-        ensure_tape(formula, circuit)
-        z00, z01, z10, z11 = circuit.probability_batch(
-            grid, numeric=numeric)
+    z00, z01, z10, z11 = probability_batch_auto(
+        formula, grid, numeric=numeric, policy=policy).values
     return Matrix([[z00, z01], [z10, z11]])
 
 

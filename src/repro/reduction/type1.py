@@ -50,7 +50,7 @@ from repro.reduction.block_matrix import z_matrix_direct, z_matrix_power
 from repro.reduction.blocks import reduction_tid
 from repro.tid.database import TID
 from repro.tid.lineage import lineage
-from repro.tid.wmc import compiled
+from repro.tid.wmc import cnf_probability
 
 Oracle = Callable[[TID], Fraction]
 
@@ -149,8 +149,8 @@ class Type1Reduction:
         lineage to a d-DNNF circuit (cached across repeated calls with
         the same parameters), and evaluating one linear pass."""
         tid = self.reduction_database(phi, params)
-        circuit = compiled(lineage(self.query, tid))
-        return circuit.probability(tid.probability) * Fraction(2) ** phi.n
+        value = cnf_probability(lineage(self.query, tid), tid.probability)
+        return value * Fraction(2) ** phi.n
 
     # ------------------------------------------------------------------
     def _select_rows(self, m: int, max_parameter: int

@@ -14,7 +14,8 @@ inclusion-exclusion over blocks.
 
 CNFs here live over *symbol names* (the variables x, y are implicit
 since every atom is S(x, y)); grounding at a block maps symbol-CNFs to
-tuple-CNFs.
+tuple-CNFs.  The Y-lineage sweeps are exact by default and take a
+budgeted ``repro.tid.wmc.EvalPolicy`` to degrade to estimates.
 """
 
 from __future__ import annotations
@@ -23,18 +24,15 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from repro.algebra.lattice import TOP, Lattice
-from repro.booleans.adaptive import resolve_sweep_method
-from repro.booleans.approximate import DEFAULT_DELTA, DEFAULT_EPSILON
 from repro.booleans.circuit import WeightOverlay
 from repro.booleans.cnf import CNF
 from repro.core.queries import Query
 from repro.tid.database import TID, s_tuple
 from repro.tid.lineage import lineage
 from repro.tid.wmc import (
-    DEFAULT_BUDGET_NODES,
+    EXACT,
+    EvalPolicy,
     cnf_probability,
-    compiled,
-    ensure_tape,
     probability_batch_auto,
 )
 
@@ -178,15 +176,9 @@ class TypeIIStructure:
 
     def y_probability_sweep(self, block: TID, u, v, alpha, beta,
                             overlays, *,
-                            method: str = "exact",
                             numeric: str = "exact",
-                            budget_nodes: int | None =
-                            DEFAULT_BUDGET_NODES,
-                            epsilon=DEFAULT_EPSILON,
-                            delta=DEFAULT_DELTA,
-                            rng=None, estimator: str = "hoeffding",
-                            relative_error=None,
-                            planner=None) -> list[Fraction]:
+                            policy: EvalPolicy = EXACT
+                            ) -> list[Fraction]:
         """Pr(Y_alpha_beta) under many tuple-weight overlays — the
         theta-sweep primitive of Sections C.7-C.10.
 
@@ -199,34 +191,22 @@ class TypeIIStructure:
         ``block.with_probability``-modified blocks — without
         re-grounding or recompiling per theta.
 
-        ``method="auto"`` compiles under ``budget_nodes`` and degrades
-        each overlay to an (epsilon, delta) estimate from the chosen
-        ``estimator`` when the lineage blows up; ``method="adaptive"``
-        is ``auto`` with the sequential empirical-Bernstein sampler,
-        and a ``planner`` picks the budget from the observed
-        circuit-size trajectory.  The default stays unconditionally
-        exact.
+        A budgeted ``policy`` (``repro.tid.wmc.EvalPolicy``) compiles
+        under its budget and degrades each overlay to an (epsilon,
+        delta) estimate from its estimator when the lineage blows up;
+        its ``planner`` picks the budget from the observed
+        circuit-size trajectory.  The default ``EXACT`` policy never
+        degrades.
 
         ``numeric="float"`` runs the batched pass in hardware floats
         on the flat instruction tape — for screening wide
         theta-grids; the Moebius alternating sums downstream need the
         exact rationals, so they keep the default.
         """
-        method, estimator = resolve_sweep_method(method, estimator)
-        if numeric not in ("exact", "float"):
-            raise ValueError(
-                f"numeric must be 'exact' or 'float', got {numeric!r}")
         formula = self.lineage_y(block, u, v, alpha, beta)
         base = block.probability
         # WeightOverlay (not a closure) so the tape float kernel can
         # fill its weight matrix from the shared base plus the pins.
         specs = [WeightOverlay(base, overlay) for overlay in overlays]
-        if method == "auto":
-            return probability_batch_auto(
-                formula, specs, budget_nodes=budget_nodes,
-                epsilon=epsilon, delta=delta, rng=rng,
-                estimator=estimator, relative_error=relative_error,
-                numeric=numeric, planner=planner).values
-        circuit = compiled(formula)
-        ensure_tape(formula, circuit)
-        return circuit.probability_batch(specs, numeric=numeric)
+        return probability_batch_auto(formula, specs, numeric=numeric,
+                                      policy=policy).values

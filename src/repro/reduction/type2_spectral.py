@@ -16,6 +16,10 @@ single-step block, and verifies:
 * Lemma C.32: all four z entries are positive;
 * Theorem C.33: 0 < |lambda1| < lambda2 (checked exactly in
   Q(sqrt(disc))).
+
+The link-matrix extractions are exact by default; a budgeted
+``repro.tid.wmc.EvalPolicy`` (optionally with a ``BudgetPlanner``)
+lets each conditioned factor degrade to an estimate on its own.
 """
 
 from __future__ import annotations
@@ -33,16 +37,12 @@ from repro.core.queries import Query
 from repro.core.safety import is_safe
 from repro.reduction.type2_blocks import type2_block
 from repro.reduction.type2_lattice import TypeIIStructure
-from repro.booleans.adaptive import resolve_sweep_method
-from repro.booleans.approximate import DEFAULT_DELTA, DEFAULT_EPSILON
 from repro.tid.database import s_tuple
 from repro.tid.lineage import lineage
 from repro.tid.wmc import (
-    DEFAULT_BUDGET_NODES,
-    cnf_probability,
+    EXACT,
+    EvalPolicy,
     cnf_probability_auto,
-    compiled,
-    ensure_tape,
     probability_batch_auto,
 )
 
@@ -72,11 +72,7 @@ def _middle_factor(conditioned: CNF, middle_tuples: frozenset) -> CNF:
 def link_matrix_type2(query: Query, symbol: str,
                       assignment: Mapping[tuple, Fraction] | None = None,
                       tag: str = "", *,
-                      method: str = "exact",
-                      budget_nodes: int | None = DEFAULT_BUDGET_NODES,
-                      epsilon=DEFAULT_EPSILON, delta=DEFAULT_DELTA,
-                      rng=None, estimator: str = "hoeffding",
-                      relative_error=None, planner=None) -> Matrix:
+                      policy: EvalPolicy = EXACT) -> Matrix:
     """The 2x2 matrix z for one zig-zag step (p = 1).
 
     Conditioning S_0 = S(r0, t0) and S_1 = S(r1, t1) on (a, b) isolates
@@ -87,18 +83,17 @@ def link_matrix_type2(query: Query, symbol: str,
     over the same block (the spectral checks, the exponential-form
     verification, the assignment sweeps) compile each factor only once.
 
-    ``method="auto"`` evaluates each factor under the compilation
-    budget, degrading to an (epsilon, delta) estimate from the chosen
-    ``estimator`` past it; ``method="adaptive"`` is ``auto`` with the
-    sequential empirical-Bernstein sampler.  A ``planner``
-    (``repro.booleans.adaptive.BudgetPlanner``) picks each factor's
-    budget from the observed circuit-size trajectory — this is where
-    budget-aware planning pays: the four conditioned middle factors of
-    a link matrix differ in size, and a trajectory-planned budget
-    aborts a hopeless factor early without strangling its siblings.
-    The default is unconditionally exact.
+    A budgeted ``policy`` (``repro.tid.wmc.EvalPolicy``) evaluates
+    each factor under its compilation budget, degrading to an
+    (epsilon, delta) estimate from its estimator past it.  The
+    policy's ``planner`` (``repro.booleans.adaptive.BudgetPlanner``)
+    picks each factor's budget from the observed circuit-size
+    trajectory — this is where budget-aware planning pays: the four
+    conditioned middle factors of a link matrix differ in size, and a
+    trajectory-planned budget aborts a hopeless factor early without
+    strangling its siblings.  The default ``EXACT`` policy never
+    degrades.
     """
-    method, estimator = resolve_sweep_method(method, estimator)
     block = type2_block(query, p=1, tag=tag)
     if assignment:
         for token, value in assignment.items():
@@ -115,28 +110,16 @@ def link_matrix_type2(query: Query, symbol: str,
         for b in (False, True):
             conditioned = formula.condition(s0, a).condition(s1, b)
             factor = _middle_factor(conditioned, middle)
-            if method == "auto":
-                row.append(cnf_probability_auto(
-                    factor, block.probability,
-                    budget_nodes=budget_nodes, epsilon=epsilon,
-                    delta=delta, rng=rng, estimator=estimator,
-                    relative_error=relative_error,
-                    planner=planner).value)
-            else:
-                row.append(cnf_probability(factor, block.probability))
+            row.append(cnf_probability_auto(
+                factor, block.probability, policy=policy).value)
         rows.append(row)
     return Matrix(rows)
 
 
 def link_matrix_sweep(query: Query, symbol: str,
                       assignments, tag: str = "", *,
-                      method: str = "exact",
                       numeric: str = "exact",
-                      budget_nodes: int | None = DEFAULT_BUDGET_NODES,
-                      epsilon=DEFAULT_EPSILON, delta=DEFAULT_DELTA,
-                      rng=None, estimator: str = "hoeffding",
-                      relative_error=None,
-                      planner=None) -> list[Matrix]:
+                      policy: EvalPolicy = EXACT) -> list[Matrix]:
     """The link matrices z(theta) for a sweep of theta-assignments.
 
     For assignments with *interior* values (0 < p < 1) the block
@@ -149,12 +132,11 @@ def link_matrix_sweep(query: Query, symbol: str,
     per-assignment ``link_matrix_type2``; the returned matrices are
     bit-identical to per-assignment extraction either way.
 
-    ``method="auto"`` runs each factor under the compilation budget
-    and degrades its sweep lanes to (epsilon, delta) estimates from
-    the chosen ``estimator`` past it; ``method="adaptive"`` is
-    ``auto`` with the sequential empirical-Bernstein sampler, and a
-    ``planner`` picks each factor's budget from the observed
-    circuit-size trajectory.  The default is unconditionally exact.
+    A budgeted ``policy`` (``repro.tid.wmc.EvalPolicy``) runs each
+    factor under its compilation budget and degrades its sweep lanes
+    to (epsilon, delta) estimates from its estimator past it, as in
+    ``link_matrix_type2``.  The default ``EXACT`` policy never
+    degrades.
 
     ``numeric="float"`` runs the interior-theta batched passes in
     hardware floats on the flat instruction tape — useful for
@@ -163,7 +145,6 @@ def link_matrix_sweep(query: Query, symbol: str,
     matrices, so keep the exact default wherever the spectral algebra
     consumes the result.
     """
-    method, estimator = resolve_sweep_method(method, estimator)
     if numeric not in ("exact", "float"):
         raise ValueError(
             f"numeric must be 'exact' or 'float', got {numeric!r}")
@@ -178,12 +159,7 @@ def link_matrix_sweep(query: Query, symbol: str,
             "structural per-assignment path, which is exact-only")
     if not interior:
         return [link_matrix_type2(query, symbol, theta, tag,
-                                  method=method,
-                                  budget_nodes=budget_nodes,
-                                  epsilon=epsilon, delta=delta, rng=rng,
-                                  estimator=estimator,
-                                  relative_error=relative_error,
-                                  planner=planner)
+                                  policy=policy)
                 for theta in assignments]
 
     block = type2_block(query, p=1, tag=tag)
@@ -205,18 +181,8 @@ def link_matrix_sweep(query: Query, symbol: str,
         for b in (False, True):
             conditioned = formula.condition(s0, a).condition(s1, b)
             factor = _middle_factor(conditioned, middle)
-            if method == "auto":
-                entries[int(a), int(b)] = probability_batch_auto(
-                    factor, specs, budget_nodes=budget_nodes,
-                    epsilon=epsilon, delta=delta, rng=rng,
-                    estimator=estimator,
-                    relative_error=relative_error,
-                    numeric=numeric, planner=planner).values
-            else:
-                circuit = compiled(factor)
-                ensure_tape(factor, circuit)
-                entries[int(a), int(b)] = circuit.probability_batch(
-                    specs, numeric=numeric)
+            entries[int(a), int(b)] = probability_batch_auto(
+                factor, specs, numeric=numeric, policy=policy).values
     return [
         Matrix([[entries[0, 0][i], entries[0, 1][i]],
                 [entries[1, 0][i], entries[1, 1][i]]])

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 
 from repro.booleans.adaptive import (
     ENGINE_LABELS,
-    ESTIMATORS,
     BudgetPlanner,
     estimate_with,
 )
@@ -87,6 +86,7 @@ from repro.service.tenants import ANONYMOUS, TenantQuota, TenantRegistry
 from repro.tid import wmc
 from repro.tid.database import TID, r_tuple, t_tuple
 from repro.tid.lineage import lineage
+from repro.tid.wmc import EvalPolicy
 
 #: Evaluation methods a client may force: exactly the library's —
 #: "brute"/"cross-check" are expensive but legitimate validation
@@ -657,7 +657,7 @@ class ReproServer(ServiceFrontEnd):
         report["store"] = str(getattr(store, "root", ""))
         return report
 
-    def _note_estimates(self, estimates, epsilon, delta) -> None:
+    def _note_estimates(self, estimates, policy: EvalPolicy) -> None:
         """Update the adaptive-tier counters after a request answered
         with sequential-sampler estimates.  Savings are measured
         against one fixed baseline — the unit-range Hoeffding count at
@@ -671,7 +671,7 @@ class ReproServer(ServiceFrontEnd):
                       and e.samples > 0]
         if not sequential:
             return
-        worst = hoeffding_sample_count(epsilon, delta)
+        worst = hoeffding_sample_count(policy.epsilon, policy.delta)
         with self._stats_lock:
             self._adaptive_requests += 1
             for estimate in sequential:
@@ -723,50 +723,40 @@ class ReproServer(ServiceFrontEnd):
             "circuit": circuit.stats(),
         }
 
-    def _estimator_knobs(self, params: dict):
-        budget = take_int(params, "budget_nodes",
-                          default=self.default_budget, minimum=2)
-        epsilon = take_fraction(params, "epsilon",
-                                default=DEFAULT_EPSILON)
-        delta = take_fraction(params, "delta", default=DEFAULT_DELTA)
-        # Checked up front, whatever the method: the estimator would
-        # otherwise raise mid-request (an ``internal`` error), and an
-        # exact answer would silently accept a meaningless knob.
-        for name, value in (("epsilon", epsilon), ("delta", delta)):
-            if not 0 < value < 1:
-                raise ProtocolError(
-                    "bad-request", f"param {name!r} must be in (0, 1)")
-        seed = take_int(params, "seed", default=0)
-        estimator = take_str(params, "estimator", default="hoeffding",
-                             choices=ESTIMATORS)
-        relative = take_fraction(params, "relative_error", default=None)
-        if relative is not None:
-            if relative <= 0:
-                raise ProtocolError(
-                    "bad-request",
-                    "param 'relative_error' must be positive")
-            if estimator == "hoeffding":
-                # The fixed-n estimator has no relative mode; a
-                # relative target implies the sequential sampler
-                # unless the client named one explicitly.
-                estimator = "adaptive"
-        return budget, epsilon, delta, seed, estimator, relative
+    def _policy(self, params: dict) -> EvalPolicy:
+        """The request's ``EvalPolicy`` (its ``seed`` is the policy's
+        rng).  A knob the policy rejects is a bad request whatever the
+        method: the estimator would otherwise raise mid-request (an
+        ``internal`` error), and an exact answer would silently accept
+        a meaningless knob."""
+        try:
+            return EvalPolicy(
+                budget_nodes=take_int(params, "budget_nodes",
+                                      default=self.default_budget,
+                                      minimum=2),
+                epsilon=take_fraction(params, "epsilon",
+                                      default=DEFAULT_EPSILON),
+                delta=take_fraction(params, "delta",
+                                    default=DEFAULT_DELTA),
+                rng=take_int(params, "seed", default=0),
+                estimator=take_str(params, "estimator",
+                                   default="hoeffding"),
+                relative_error=take_fraction(params, "relative_error",
+                                             default=None))
+        except ValueError as error:
+            raise ProtocolError("bad-request", str(error)) from None
 
     def _evaluate_one(self, workload: Workload, method: str,
-                      budget, epsilon, delta, seed, estimator,
-                      relative) -> dict:
+                      policy: EvalPolicy) -> dict:
         if method in ("auto", "wmc", "compiled", "cross-check") \
                 and not workload.safe and not workload.query.is_false():
             self._prewarm(workload,
-                          budget if method == "auto" else None)
+                          policy.budget_nodes if method == "auto"
+                          else None)
         with span("evaluate", method=method):
             result = evaluate(workload.query, workload.tid, method,
-                              budget_nodes=budget, epsilon=epsilon,
-                              delta=delta, rng=seed,
-                              estimator=estimator,
-                              relative_error=relative,
-                              formula=workload.formula)
-        self._note_estimates([result.estimate], epsilon, delta)
+                              policy=policy, formula=workload.formula)
+        self._note_estimates([result.estimate], policy)
         payload = result.as_dict()
         payload["p"] = workload.p
         payload["fingerprint"] = workload.fingerprint
@@ -777,9 +767,9 @@ class ReproServer(ServiceFrontEnd):
                      + _ESTIMATOR_FIELDS)
         method = take_str(params, "method", default="auto",
                           choices=EVAL_METHODS)
-        knobs = self._estimator_knobs(params)
+        policy = self._policy(params)
         return self._evaluate_one(self.workloads.resolve(params),
-                                  method, *knobs)
+                                  method, policy)
 
     def _op_evaluate_batch(self, params: dict) -> dict:
         check_fields(params, ("query", "ps", "method")
@@ -787,12 +777,12 @@ class ReproServer(ServiceFrontEnd):
         ps = take_int_list(params, "ps", minimum=1, max_items=256)
         method = take_str(params, "method", default="auto",
                           choices=EVAL_METHODS)
-        knobs = self._estimator_knobs(params)
+        policy = self._policy(params)
         text = take_str(params, "query")
         results = [
             self._evaluate_one(
                 self.workloads.resolve({"query": text, "p": p}),
-                method, *knobs)
+                method, policy)
             for p in ps]
         return {"results": results, "count": len(results)}
 
@@ -803,8 +793,8 @@ class ReproServer(ServiceFrontEnd):
                      maximum=100_000)
         numeric = take_str(params, "numeric", default="exact",
                            choices=("exact", "float"))
-        budget, epsilon, delta, seed, estimator, relative = \
-            self._estimator_knobs(params)
+        policy = self._policy(params)
+        budget = policy.budget_nodes
         workload = self.workloads.resolve(params)
         r_u, t_v = r_tuple("u"), t_tuple("v")
         if not {r_u, t_v} & workload.formula.variables():
@@ -830,18 +820,16 @@ class ReproServer(ServiceFrontEnd):
             with span("evaluate", lanes=len(vectors),
                       numeric=numeric):
                 return wmc.probability_batch_auto(
-                    workload.formula, vectors, budget_nodes=budget,
-                    numeric=numeric)
+                    workload.formula, vectors, numeric=numeric,
+                    policy=policy)
 
         def per_request(fallback):
             with span("evaluate", lanes=len(weight_maps),
                       numeric=numeric, fallback=fallback):
                 sweep = wmc.probability_batch_auto(
-                    workload.formula, weight_maps,
-                    budget_nodes=budget, epsilon=epsilon, delta=delta,
-                    rng=seed, numeric=numeric, estimator=estimator,
-                    relative_error=relative)
-            self._note_estimates(sweep.estimates or [], epsilon, delta)
+                    workload.formula, weight_maps, numeric=numeric,
+                    policy=policy)
+            self._note_estimates(sweep.estimates or [], policy)
             return sweep.values, sweep.engine, sweep.estimates
 
         try:
@@ -887,20 +875,19 @@ class ReproServer(ServiceFrontEnd):
     def _op_estimate(self, params: dict) -> dict:
         check_fields(params, ("query", "p", "epsilon", "delta", "seed",
                               "estimator", "relative_error"))
-        # Same knob parsing as evaluate/sweep; the budget slot is
-        # inert here (check_fields already rejected budget_nodes).
-        _, epsilon, delta, seed, estimator, relative = \
-            self._estimator_knobs(params)
+        # Same knob parsing as evaluate/sweep; the budget is inert
+        # here (check_fields already rejected budget_nodes).
+        policy = self._policy(params)
         workload = self.workloads.resolve(params)
-        with span("evaluate", method=estimator):
+        with span("evaluate", method=policy.estimator):
             estimate = estimate_with(
-                estimator, workload.formula,
-                workload.tid.probability, epsilon, delta, seed,
-                relative_error=relative)
-        self._note_estimates([estimate], epsilon, delta)
+                policy.estimator, workload.formula,
+                workload.tid.probability, policy.epsilon, policy.delta,
+                policy.rng, relative_error=policy.relative_error)
+        self._note_estimates([estimate], policy)
         return {
             "fingerprint": workload.fingerprint,
-            "engine": ENGINE_LABELS[estimator],
+            "engine": ENGINE_LABELS[policy.estimator],
             "estimate": estimate.as_dict(),
         }
 

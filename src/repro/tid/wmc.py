@@ -21,10 +21,12 @@ interpolation) pay the exponential search at most once per formula:
   variable and repeated CLI/service invocations skip recompilation
   entirely.
 
-The pre-compilation recursive engine survives as
-``shannon_probability``; it restarts its search on every call and is
-kept as an independent validation oracle and as the benchmark baseline
-(``benchmarks/bench_compile.py``).
+Every exact or budgeted Pr(F) goes through one path under one
+``EvalPolicy``: compile (under the policy's node budget), resolve the
+circuit's instruction tape through the store, and run one batched tape
+pass — or, when the budget runs out, answer with the policy's (epsilon,
+delta) estimator.  ``cnf_probability`` is the ``EXACT`` case;
+``cnf_probability_auto``/``probability_batch_auto`` take any policy.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ import os
 import threading
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from repro.booleans.adaptive import (
     ENGINE_LABELS,
+    ESTIMATORS,
     estimate_batch_with,
-    estimate_with,
 )
 from repro.booleans.approximate import (
     AutoProbability,
@@ -50,12 +53,9 @@ from repro.booleans.approximate import (
 from repro.booleans.circuit import (
     Circuit,
     CompilationBudgetExceeded,
-    branch_variable,
     compile_cnf,
-    make_lookup,
 )
 from repro.booleans.cnf import CNF
-from repro.booleans.connectivity import clause_components
 from repro import obs
 from repro.booleans.tape import (
     Tape,
@@ -68,8 +68,6 @@ from repro.booleans.tape import (
 from repro.core.queries import Query
 from repro.tid.database import TID
 from repro.tid.lineage import lineage
-
-ONE = Fraction(1)
 
 #: Guards every piece of module-level cache state below — the LRU
 #: mapping and its node counter, the stats counters, the budget-failure
@@ -366,193 +364,137 @@ def probability(query: Query, tid: TID) -> Fraction:
     return cnf_probability(formula, tid.probability)
 
 
-def cnf_probability(formula: CNF, prob: Mapping | None = None,
-                    default: Fraction | None = None) -> Fraction:
-    """Exact Pr(F) for a monotone CNF with independent variables.
-
-    ``prob`` maps variables to marginals; it may be a dict or a callable.
-    Missing variables use ``default`` (or 1/2 when unspecified).  The
-    first call for a given formula compiles it (cost comparable to one
-    run of ``shannon_probability``); subsequent calls with any weight
-    vector are linear in the circuit size.
-    """
-    return compiled(formula).probability(prob, default)
-
-
 # ----------------------------------------------------------------------
-# The budgeted "auto" policy: exact under budget, else estimate
+# The evaluation policy: exact under a node budget, else estimate
 # ----------------------------------------------------------------------
-def _planned_budget(formula: CNF, budget_nodes, planner):
-    """Resolve the effective budget, via the planner when one is
-    given (``repro.booleans.adaptive.BudgetPlanner``)."""
-    if planner is None:
-        return budget_nodes
-    return planner.budget_for(formula, budget_nodes)
+@dataclass(frozen=True)
+class EvalPolicy:
+    """How a Pr(F) is answered, validated once at construction.
 
-
-def _observe(planner, formula: CNF, circuit: Circuit) -> None:
-    """Report a successful compilation back to the budget planner so
-    its circuit-size trajectory keeps learning online."""
-    if planner is not None and len(formula):
-        planner.observe(len(formula), circuit.size)
-
-
-def cnf_probability_auto(formula: CNF, prob: Mapping | None = None,
-                         default: Fraction | None = None, *,
-                         budget_nodes: int | None = DEFAULT_BUDGET_NODES,
-                         epsilon=DEFAULT_EPSILON,
-                         delta=DEFAULT_DELTA,
-                         rng=None,
-                         estimator: str = "hoeffding",
-                         relative_error=None,
-                         planner=None) -> AutoProbability:
-    """Pr(F) by the ``auto`` policy: exact compilation while it stays
-    under ``budget_nodes`` interned nodes, Monte-Carlo estimation with
-    an (epsilon, delta) guarantee once it blows past.
-
-    ``estimator`` picks the past-budget sampler: ``"hoeffding"`` (the
-    fixed-n PR 3 estimator), ``"adaptive"`` (sequential
-    empirical-Bernstein, stops early on low-variance lineages), or
+    Compile exactly while the circuit stays under ``budget_nodes``
+    interned nodes (None never degrades), and past the budget answer
+    with an (``epsilon``, ``delta``) estimate from ``estimator``:
+    ``"hoeffding"`` (fixed-n), ``"adaptive"`` (sequential
+    empirical-Bernstein, stops early on low-variance lineages) or
     ``"importance"`` (self-normalized tilted sampling for small
-    probabilities); ``relative_error`` switches the sequential
-    samplers to a relative-width target.  ``planner`` — a
+    probabilities).  ``relative_error`` switches the sequential
+    samplers to a relative-width target, and implies ``"adaptive"``
+    unless another sampler was named (the fixed-n estimator has no
+    relative mode).  ``rng`` is a ``random.Random``, an int seed, or
+    None (seed 0).  ``planner`` — a
     ``repro.booleans.adaptive.BudgetPlanner`` — overrides
     ``budget_nodes`` with a per-formula plan from the observed
-    circuit-size trajectory, and successful compilations feed the
+    circuit-size trajectory, and every exact compilation feeds the
     trajectory back.
-
-    The returned ``AutoProbability`` records which engine answered
-    (``engine`` is ``"exact"``, ``"estimate"``, ``"adaptive"``, or
-    ``"importance"``) and, on the sampled paths, the full
-    ``ProbabilityEstimate`` with its interval.  A budget of None never
-    degrades (plain ``cnf_probability`` semantics).
     """
-    budget_nodes = _planned_budget(formula, budget_nodes, planner)
+
+    budget_nodes: int | None = DEFAULT_BUDGET_NODES
+    epsilon: Fraction = DEFAULT_EPSILON
+    delta: Fraction = DEFAULT_DELTA
+    rng: object = None
+    estimator: str = "hoeffding"
+    relative_error: Fraction | None = None
+    planner: object = None
+
+    def __post_init__(self):
+        for name in ("epsilon", "delta"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must be in (0, 1), got {value}")
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {self.estimator!r}; "
+                             f"pick from {ESTIMATORS}")
+        if self.relative_error is not None:
+            if not self.relative_error > 0:
+                raise ValueError(f"relative_error must be positive, "
+                                 f"got {self.relative_error}")
+            if self.estimator == "hoeffding":
+                object.__setattr__(self, "estimator", "adaptive")
+
+
+#: The unconditionally exact policy (no budget, never estimates).
+EXACT = EvalPolicy(budget_nodes=None)
+#: The ``auto`` policy at its defaults.
+AUTO = EvalPolicy()
+
+
+def _evaluate(formula: CNF, weight_specs: list, default, numeric: str,
+              policy: EvalPolicy) -> AutoSweep:
+    """Every exact or auto Pr(F): one (budgeted) compilation backing a
+    batched pass of the circuit's tape, resolved through
+    ``ensure_tape`` so a store-persisted sidecar saves the flattening
+    — or, past the budget, one estimate per weight vector (a single
+    shared ``rng`` keeps the batch reproducible)."""
+    if numeric not in ("exact", "float"):
+        raise ValueError(
+            f"numeric must be 'exact' or 'float', got {numeric!r}")
+    planner = policy.planner
+    budget = policy.budget_nodes if planner is None \
+        else planner.budget_for(formula, policy.budget_nodes)
     try:
-        circuit = compiled(formula, budget_nodes)
-    except CompilationBudgetExceeded:
-        estimate = estimate_with(estimator, formula, prob, epsilon,
-                                 delta, rng, default, relative_error)
-        return AutoProbability(estimate.estimate,
-                               ENGINE_LABELS[estimator], estimate)
-    _observe(planner, formula, circuit)
-    # Evaluating on ensure_tape's tape lets the disk store's sidecar
-    # satisfy the flattening, so a restarted process answers its first
-    # evaluate without re-flattening (as probability_batch_auto does).
-    tape = ensure_tape(formula, circuit)
-    return AutoProbability(tape.evaluate([prob], "exact", default)[0],
-                           "exact")
-
-
-def probability_batch_auto(formula: CNF, weight_specs,
-                           default: Fraction | None = None, *,
-                           budget_nodes: int | None =
-                           DEFAULT_BUDGET_NODES,
-                           epsilon=DEFAULT_EPSILON,
-                           delta=DEFAULT_DELTA,
-                           rng=None,
-                           numeric: str = "exact",
-                           estimator: str = "hoeffding",
-                           relative_error=None,
-                           planner=None) -> AutoSweep:
-    """Many-weight-vector ``auto``: one budgeted compilation backing a
-    batched circuit pass, or — past budget — one estimate per weight
-    vector via the chosen ``estimator`` (each vector re-samples; a
-    single shared ``rng`` keeps the whole sweep reproducible, and the
-    sequential samplers stop each vector as early as its variance
-    allows).  ``planner`` plans the budget per formula as in
-    ``cnf_probability_auto``.
-
-    This is the primitive behind the ``auto``/``adaptive`` modes of
-    the reduction sweeps (``block_matrix.z_matrix_direct``,
-    ``type2_spectral.link_matrix_sweep``,
-    ``TypeIIStructure.y_probability_sweep``) and of
-    ``repro.evaluation.probability_sweep``.  ``numeric="float"``
-    yields float values from either engine (the ``estimates`` list
-    keeps the exact rationals).
-    """
-    weight_specs = list(weight_specs)
-    budget_nodes = _planned_budget(formula, budget_nodes, planner)
-    try:
-        circuit = compiled(formula, budget_nodes)
+        circuit = compiled(formula, budget)
     except CompilationBudgetExceeded:
         estimates = estimate_batch_with(
-            estimator, formula, weight_specs, epsilon, delta, rng,
-            default, relative_error)
+            policy.estimator, formula, weight_specs, policy.epsilon,
+            policy.delta, policy.rng, default, policy.relative_error)
         values = [e.estimate for e in estimates]
         if numeric == "float":
             values = [float(v) for v in values]
-        return AutoSweep(values, ENGINE_LABELS[estimator], estimates)
-    _observe(planner, formula, circuit)
-    # Batches run on the flat instruction tape; resolving it here
-    # (rather than inside probability_batch) lets the disk store's
-    # serialized sidecar satisfy the flattening, so warm services never
-    # re-flatten.
+        return AutoSweep(values, ENGINE_LABELS[policy.estimator],
+                         estimates)
+    if planner is not None and len(formula):
+        planner.observe(len(formula), circuit.size)
     ensure_tape(formula, circuit)
     return AutoSweep(
         circuit.probability_batch(weight_specs, default, numeric),
         "exact")
 
 
-# ----------------------------------------------------------------------
-# The legacy recursive engine (validation oracle / benchmark baseline)
-# ----------------------------------------------------------------------
-def shannon_probability(formula: CNF, prob: Mapping | None = None,
-                        default: Fraction | None = None) -> Fraction:
-    """Pr(F) by the pre-compilation recursive engine.
+def cnf_probability(formula: CNF, prob: Mapping | None = None,
+                    default: Fraction | None = None) -> Fraction:
+    """Exact Pr(F) for a monotone CNF with independent variables.
 
-    Recomputes from scratch on every call (the memo cache is per-call),
-    exactly as ``cnf_probability`` behaved before the circuit backend;
-    kept as an independent implementation for cross-checks and as the
-    recompute-every-call baseline in ``benchmarks/bench_compile.py``.
+    ``prob`` maps variables to marginals; it may be a dict or a callable.
+    Missing variables use ``default`` (or 1/2 when unspecified).  The
+    first call for a given formula compiles it; subsequent calls with
+    any weight vector are linear in the circuit size.
     """
-    lookup = make_lookup(prob, default)
-    cache: dict[CNF, Fraction] = {}
-    return _probability(formula, lookup, cache)
+    return _evaluate(formula, [prob], default, "exact", EXACT).values[0]
 
 
-def _probability(formula: CNF, prob, cache) -> Fraction:
-    if formula.is_true():
-        return ONE
-    if formula.is_false():
-        return Fraction(0)
-    hit = cache.get(formula)
-    if hit is not None:
-        return hit
+def cnf_probability_auto(formula: CNF, prob: Mapping | None = None,
+                         default: Fraction | None = None, *,
+                         policy: EvalPolicy = AUTO) -> AutoProbability:
+    """Pr(F) under ``policy`` (by default the ``auto`` policy: exact
+    compilation under ``DEFAULT_BUDGET_NODES``, an (epsilon, delta)
+    estimate past it).
 
-    result = _probability_uncached(formula, prob, cache)
-    cache[formula] = result
-    return result
+    The returned ``AutoProbability`` records which engine answered
+    (``engine`` is ``"exact"``, ``"estimate"``, ``"adaptive"``, or
+    ``"importance"``) and, on the sampled paths, the full
+    ``ProbabilityEstimate`` with its interval.
+    """
+    sweep = _evaluate(formula, [prob], default, "exact", policy)
+    return AutoProbability(sweep.values[0], sweep.engine,
+                           sweep.estimates and sweep.estimates[0])
 
 
-def _probability_uncached(formula: CNF, prob, cache) -> Fraction:
-    # Unit clauses force their variable true.  Like the compiler
-    # (circuit.py), pick the min-by-repr unit rather than the first in
-    # frozenset iteration order, which varies with PYTHONHASHSEED —
-    # the result is the same either way, but the recursion trace (and
-    # hence timing and cache shape) stays run-to-run deterministic.
-    units = [clause for clause in formula.clauses if len(clause) == 1]
-    if units:
-        var = min((next(iter(c)) for c in units), key=repr)
-        p = Fraction(prob(var))
-        if p == 0:
-            return Fraction(0)
-        return p * _probability(formula.condition(var, True),
-                                prob, cache)
+def probability_batch_auto(formula: CNF, weight_specs,
+                           default: Fraction | None = None, *,
+                           numeric: str = "exact",
+                           policy: EvalPolicy = AUTO) -> AutoSweep:
+    """Many-weight-vector ``cnf_probability_auto``: one budgeted
+    compilation backing a batched circuit pass, or — past budget — one
+    estimate per weight vector (each vector re-samples; the sequential
+    samplers stop each vector as early as its variance allows).
 
-    groups = clause_components(formula)
-    if len(groups) > 1:
-        result = ONE
-        for group in groups:
-            result *= _probability(CNF._from_minimized(group), prob, cache)
-            if result == 0:
-                return result
-        return result
-
-    var = branch_variable(formula)
-    p = Fraction(prob(var))
-    high = _probability(formula.condition(var, True), prob, cache)
-    if p == ONE:
-        return high
-    low = _probability(formula.condition(var, False), prob, cache)
-    return p * high + (ONE - p) * low
+    This is the primitive behind the reduction sweeps
+    (``block_matrix.z_matrix_direct``,
+    ``type2_spectral.link_matrix_sweep``,
+    ``TypeIIStructure.y_probability_sweep``) and of
+    ``repro.evaluation.probability_sweep``.  ``numeric="float"``
+    yields float values from either engine (the ``estimates`` list
+    keeps the exact rationals).
+    """
+    return _evaluate(formula, list(weight_specs), default, numeric,
+                     policy)

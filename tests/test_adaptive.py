@@ -36,7 +36,6 @@ from repro.booleans.adaptive import (
     estimate_with,
     importance_estimate_probability,
     log_upper,
-    resolve_sweep_method,
     sqrt_upper,
     tilted_proposal,
 )
@@ -49,6 +48,7 @@ from repro.reduction.blocks import path_block
 from repro.tid import wmc
 from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
 from repro.tid.lineage import lineage
+from repro.tid.wmc import EXACT, EvalPolicy
 
 F = Fraction
 
@@ -364,14 +364,17 @@ class TestEstimatorRegistry:
         assert batch == again
 
     def test_resolve_sweep_method(self):
-        assert resolve_sweep_method("exact", "hoeffding") == \
-            ("exact", "hoeffding")
-        assert resolve_sweep_method("adaptive", "hoeffding") == \
-            ("auto", "adaptive")
-        assert resolve_sweep_method("adaptive", "importance") == \
-            ("auto", "importance")
-        with pytest.raises(ValueError, match="method"):
-            resolve_sweep_method("magic", "hoeffding")
+        """The reductions' old method names resolve to policies:
+        "exact" is EXACT, "auto" the default policy, and "adaptive"
+        the default policy with the sequential sampler."""
+        assert EXACT.budget_nodes is None
+        assert EvalPolicy().budget_nodes == wmc.DEFAULT_BUDGET_NODES
+        assert EvalPolicy(estimator="adaptive").estimator == "adaptive"
+        assert EvalPolicy(estimator="importance",
+                          relative_error=F(1, 2)).estimator == \
+            "importance"
+        with pytest.raises(ValueError, match="estimator"):
+            EvalPolicy(estimator="magic")
 
 
 class TestBudgetPlanner:
@@ -448,7 +451,8 @@ class TestPolicyThreading:
         query = rst_query()
         tid = small_tid(query)
         exact = evaluate(query, tid, method="wmc").value
-        result = evaluate(query, tid, method="adaptive", rng=5)
+        result = evaluate(query, tid, method="adaptive",
+                          policy=EvalPolicy(rng=5))
         assert result.method == "adaptive"
         assert result.engine == "adaptive"
         assert result.estimate is not None
@@ -459,7 +463,8 @@ class TestPolicyThreading:
         query = rst_query()
         tid = small_tid(query)
         exact = evaluate(query, tid, method="wmc").value
-        result = evaluate(query, tid, method="importance", rng=5)
+        result = evaluate(query, tid, method="importance",
+                          policy=EvalPolicy(rng=5))
         assert result.method == "importance"
         assert result.engine == "importance"
         assert result.estimate.method == "importance"
@@ -469,8 +474,8 @@ class TestPolicyThreading:
         query = rst_query()
         tid = small_tid(query)
         wmc.clear_circuit_cache()
-        result = evaluate(query, tid, budget_nodes=2, rng=0,
-                          estimator="adaptive")
+        result = evaluate(query, tid, policy=EvalPolicy(
+            budget_nodes=2, rng=0, estimator="adaptive"))
         assert result.method == "adaptive"
         assert result.estimate.samples_used == result.estimate.samples
 
@@ -489,8 +494,9 @@ class TestPolicyThreading:
         exact = probability_sweep(formula, weight_maps)
         wmc.clear_circuit_cache()
         approx = probability_sweep(formula, weight_maps,
-                                   budget_nodes=2, rng=0,
-                                   estimator="adaptive")
+                                   policy=EvalPolicy(
+                                       budget_nodes=2, rng=0,
+                                       estimator="adaptive"))
         for a, e in zip(approx, exact):
             assert abs(a - e) <= F(1, 20)
 
@@ -498,8 +504,8 @@ class TestPolicyThreading:
         formula = lineage(rst_query(), path_block(rst_query(), 3))
         wmc.clear_circuit_cache()
         sweep = wmc.probability_batch_auto(
-            formula, [None], budget_nodes=2, rng=0,
-            estimator="adaptive")
+            formula, [None], policy=EvalPolicy(
+                budget_nodes=2, rng=0, estimator="adaptive"))
         assert sweep.engine == "adaptive"
         assert sweep.estimates[0].method == "bernstein"
 
@@ -507,8 +513,8 @@ class TestPolicyThreading:
         query = rst_query()
         exact = z_matrix_direct(query, 3)
         wmc.clear_circuit_cache()
-        approx = z_matrix_direct(query, 3, method="adaptive",
-                                 budget_nodes=2, rng=0)
+        approx = z_matrix_direct(query, 3, policy=EvalPolicy(
+            budget_nodes=2, rng=0, estimator="adaptive"))
         for i in range(2):
             for j in range(2):
                 assert abs(approx[i, j] - exact[i, j]) <= F(1, 20)
@@ -520,13 +526,15 @@ class TestPolicyThreading:
         formula = lineage(rst_query(), path_block(rst_query(), 3))
         wmc.clear_circuit_cache()
         answer = wmc.cnf_probability_auto(
-            formula, None, budget_nodes=None, planner=planner)
+            formula, None,
+            policy=EvalPolicy(budget_nodes=None, planner=planner))
         assert answer.engine == "exact"
         assert planner.observations == 1
         other = lineage(rst_query(), path_block(rst_query(), 4))
         wmc.clear_circuit_cache()
         answer = wmc.cnf_probability_auto(
-            other, None, budget_nodes=None, planner=planner)
+            other, None,
+            policy=EvalPolicy(budget_nodes=None, planner=planner))
         assert answer.engine == "exact"
         assert planner.observations == 2
         # Two distinct clause counts -> a trajectory; the tiny cap now
@@ -534,8 +542,9 @@ class TestPolicyThreading:
         third = lineage(rst_query(), path_block(rst_query(), 5))
         wmc.clear_circuit_cache()
         answer = wmc.cnf_probability_auto(
-            third, None, budget_nodes=None, planner=planner,
-            estimator="adaptive", rng=0)
+            third, None, policy=EvalPolicy(
+                budget_nodes=None, planner=planner,
+                estimator="adaptive", rng=0))
         assert answer.engine == "adaptive"
         assert wmc.cache_info()["budget_aborts"] == 1
 
@@ -546,7 +555,9 @@ class TestPolicyThreading:
         planner = BudgetPlanner()
         formula = lineage(rst_query(), path_block(rst_query(), 3))
         wmc.clear_circuit_cache()
-        probability_sweep(formula, [None], planner=planner)
+        probability_sweep(formula, [None],
+                          policy=EvalPolicy(budget_nodes=None,
+                                            planner=planner))
         assert planner.observations == 1
 
     def test_y_sweep_adaptive_method_accepted(self):
@@ -563,5 +574,5 @@ class TestPolicyThreading:
             block, "r0", "t1", alpha, beta, overlays)
         adaptive = structure.y_probability_sweep(
             block, "r0", "t1", alpha, beta, overlays,
-            method="adaptive")
+            policy=EvalPolicy(estimator="adaptive"))
         assert adaptive == exact  # under budget: still exact

@@ -26,6 +26,7 @@ from repro.reduction.type2_lattice import TypeIIStructure
 from repro.tid import wmc
 from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
 from repro.tid.lineage import lineage
+from repro.tid.wmc import EvalPolicy
 
 F = Fraction
 
@@ -290,7 +291,8 @@ class TestAutoThreading:
         tid = small_tid(query)
         exact = evaluate(query, tid, method="wmc").value
         wmc.clear_circuit_cache()
-        result = evaluate(query, tid, budget_nodes=2, rng=0)
+        result = evaluate(query, tid,
+                          policy=EvalPolicy(budget_nodes=2, rng=0))
         assert result.method == "estimate"
         assert result.estimate is not None
         assert result.estimate.contains(exact)
@@ -301,7 +303,8 @@ class TestAutoThreading:
         query = rst_query()
         tid = small_tid(query)
         exact = evaluate(query, tid, method="wmc").value
-        result = evaluate(query, tid, method="estimate", rng=5)
+        result = evaluate(query, tid, method="estimate",
+                          policy=EvalPolicy(rng=5))
         assert result.method == "estimate"
         assert result.estimate.contains(exact)
 
@@ -310,8 +313,8 @@ class TestAutoThreading:
         weight_maps = [None, {v: F(1, 4) for v in formula.variables()}]
         exact = probability_sweep(formula, weight_maps)
         wmc.clear_circuit_cache()
-        approx = probability_sweep(formula, weight_maps,
-                                   budget_nodes=2, rng=0)
+        approx = probability_sweep(
+            formula, weight_maps, policy=EvalPolicy(budget_nodes=2, rng=0))
         assert wmc.cache_info()["budget_aborts"] == 1
         epsilon = F(1, 20)
         for a, e in zip(approx, exact):
@@ -321,8 +324,9 @@ class TestAutoThreading:
         formula = lineage(rst_query(), path_block(rst_query(), 3))
         weight_maps = [None, {v: F(1, 4) for v in formula.variables()}]
         exact = probability_sweep(formula, weight_maps)
-        assert probability_sweep(formula, weight_maps,
-                                 budget_nodes=10 ** 6) == exact
+        assert probability_sweep(
+            formula, weight_maps,
+            policy=EvalPolicy(budget_nodes=10 ** 6)) == exact
 
     def test_probability_sweep_float_mode_survives_degrade(self):
         """numeric="float" keeps its documented value type on both
@@ -330,9 +334,9 @@ class TestAutoThreading:
         formula = lineage(rst_query(), path_block(rst_query(), 3))
         weight_maps = [None, None]
         wmc.clear_circuit_cache()
-        degraded = probability_sweep(formula, weight_maps,
-                                     numeric="float",
-                                     budget_nodes=2, rng=0)
+        degraded = probability_sweep(
+            formula, weight_maps, numeric="float",
+            policy=EvalPolicy(budget_nodes=2, rng=0))
         assert all(isinstance(v, float) for v in degraded)
 
     def test_evaluate_estimate_false_query_has_estimate(self):
@@ -350,22 +354,23 @@ class TestAutoThreading:
 
     def test_z_matrix_auto_matches_exact_under_budget(self):
         query = rst_query()
-        assert z_matrix_direct(query, 3, method="auto") == \
+        assert z_matrix_direct(query, 3, policy=EvalPolicy()) == \
             z_matrix_direct(query, 3)
 
     def test_z_matrix_auto_estimates_past_budget(self):
         query = rst_query()
         exact = z_matrix_direct(query, 3)
         wmc.clear_circuit_cache()
-        approx = z_matrix_direct(query, 3, method="auto",
-                                 budget_nodes=2, rng=0)
+        approx = z_matrix_direct(
+            query, 3, policy=EvalPolicy(budget_nodes=2, rng=0))
         epsilon = F(1, 20)
         for i in range(2):
             for j in range(2):
                 assert abs(approx[i, j] - exact[i, j]) <= epsilon
 
     def test_z_matrix_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
+        # The reductions take a policy, not a method name.
+        with pytest.raises(TypeError, match="method"):
             z_matrix_direct(rst_query(), 2, method="magic")
 
     def test_y_sweep_auto_matches_exact_under_budget(self):
@@ -384,7 +389,7 @@ class TestAutoThreading:
             block, "r0", "t1", alpha, beta, overlays)
         assert structure.y_probability_sweep(
             block, "r0", "t1", alpha, beta, overlays,
-            method="auto") == exact
+            policy=EvalPolicy()) == exact
 
 
 class TestCacheObservability:

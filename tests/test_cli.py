@@ -206,6 +206,26 @@ class TestCommands:
             main(["estimate", "(R|S1)(S1|T)", "--p", "2",
                   "--relative-error=-1/2"])
 
+    @pytest.mark.parametrize("verb", ["estimate", "compile", "sweep"])
+    @pytest.mark.parametrize("flag", ["--epsilon=0", "--delta=2"])
+    def test_bad_epsilon_delta_exits_friendly(self, verb, flag):
+        """Out-of-range estimator knobs get a ``repro:`` message, not
+        a traceback — also where the exact answer never samples."""
+        with pytest.raises(SystemExit, match="must be in"):
+            main([verb, "(R|S1)(S1|T)", "--p", "2", flag])
+
+    def test_sweep_processes_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["sweep", "(R|S1)(S1|T)", "--p", "2",
+                  "--processes", "2"])
+
+    def test_sweep_float_cross_checked(self, capsys):
+        assert main(["sweep", "(R|S1)(S1|T)", "--p", "2",
+                     "--grid", "3", "--float"]) == 0
+        out = capsys.readouterr().out
+        assert "(float fast path)" in out
+        assert "engine:  exact" in out
+
     def test_compile_budget_degrades_to_estimate(self, capsys):
         from repro.tid import wmc
 

@@ -16,11 +16,13 @@ from pathlib import Path
 
 from repro.booleans.circuit import compile_cnf
 from repro.booleans.cnf import CNF
-from repro.tid.wmc import shannon_probability
+from shannon_oracle import shannon_probability
 
 F = Fraction
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+#: This directory, so the probes can import the test oracles.
+TESTS = str(Path(__file__).resolve().parent)
 
 #: Executed in a fresh interpreter per hash seed: digest everything
 #: that must be run-independent.
@@ -32,7 +34,7 @@ from repro.booleans.store import cnf_fingerprint
 from repro.core.catalog import rst_query
 from repro.reduction.blocks import path_block
 from repro.tid.lineage import lineage
-from repro.tid.wmc import shannon_probability
+from shannon_oracle import shannon_probability
 
 query = rst_query()
 tid = path_block(query, 3)
@@ -106,8 +108,8 @@ print(json.dumps({
 def _probe(hashseed: str, script: str = _PROBE) -> dict:
     env = dict(os.environ,
                PYTHONHASHSEED=hashseed,
-               PYTHONPATH=SRC + os.pathsep + os.environ.get(
-                   "PYTHONPATH", ""))
+               PYTHONPATH=os.pathsep.join(
+                   [SRC, TESTS, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, check=True)

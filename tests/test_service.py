@@ -77,8 +77,8 @@ class TestBasicOps:
         assert result["safe"] is True
 
     def test_forced_methods(self, client):
-        exact = client.evaluate(QUERY, p=3, method="shannon")
-        assert exact["method"] == "shannon"
+        exact = client.evaluate(QUERY, p=3, method="brute")
+        assert exact["method"] == "brute"
         est = client.evaluate(QUERY, p=3, method="estimate", seed=7)
         assert est["method"] == "estimate"
         assert est["estimate"]["samples"] > 0
@@ -544,16 +544,19 @@ class TestTapeService:
         as well."""
         self._restart_against_warm_store(tmp_path, "exact")
 
-    def test_warm_store_evaluate_never_reflattens(self, tmp_path):
+    @pytest.mark.parametrize("method", ["auto", "wmc"])
+    def test_warm_store_evaluate_never_reflattens(self, tmp_path,
+                                                  method):
         """A single exact evaluate after a restart adopts the store's
-        tape sidecar too, instead of flattening the stored circuit."""
+        tape sidecar too, instead of flattening the stored circuit —
+        under the auto policy and the forced exact engine alike."""
         with ReproServer(port=0, store=str(tmp_path)) as server:
             with ServiceClient(*server.address) as c:
-                first = c.evaluate(QUERY, p=4)
+                first = c.evaluate(QUERY, p=4, method=method)
                 assert c.stats()["cache"]["tape_flattens"] == 1
 
                 wmc.clear_circuit_cache()  # simulate a restart
-                again = c.evaluate(QUERY, p=4)
+                again = c.evaluate(QUERY, p=4, method=method)
                 stats = c.stats()["cache"]
                 assert stats["compiles"] == 0
                 assert stats["tape_flattens"] == 0
@@ -745,7 +748,7 @@ class TestAdaptiveService:
         assert plain["estimate"]["method"] == "hoeffding"
 
     def test_forced_adaptive_method_no_budget_needed(self, client):
-        exact = client.evaluate(QUERY, p=3, method="shannon")
+        exact = client.evaluate(QUERY, p=3, method="brute")
         result = client.evaluate(QUERY, p=3, method="adaptive", seed=7)
         assert result["engine"] == "adaptive"
         low, high = (F(result["estimate"]["low"]),

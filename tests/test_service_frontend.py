@@ -7,19 +7,23 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import socket
 import threading
 import time
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.dispatch import ReproDispatcher
 from repro.service.protocol import OPS
 from repro.service.server import ReproServer
 from repro.tid import wmc
+from repro.tid.wmc import EvalPolicy
 
 QUERY = "(R|S1)(S1|T)"
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,21 +89,84 @@ def test_unknown_param_gets_the_same_code_from_both_front_ends(
     assert code not in (None, "internal"), (op, code)
 
 
-@pytest.mark.parametrize("op, params", [
-    ("estimate", {"epsilon": 0}),
-    ("estimate", {"epsilon": 1}),
-    ("estimate", {"delta": "-1/2"}),
-    ("estimate", {"delta": 1}),
-    ("evaluate", {"method": "estimate", "epsilon": 2}),
-    ("evaluate", {"budget_nodes": 2, "delta": 0}),
-    ("evaluate", {"epsilon": -1}),
-    ("sweep", {"budget_nodes": 2, "epsilon": "3/2"}),
-])
+#: One table of estimator-knob cases, run through every entry point
+#: that parses them: ``EvalPolicy`` itself, both front ends'
+#: ``handle_line`` and the CLI.  Each case names the op that carries
+#: it, and the outcome every entry point must agree on: a rejection
+#: (with the policy's message) or the estimator the knobs resolve to.
+KNOB_CASES = [
+    ("estimate", {"epsilon": 0}, ("reject", "must be in (0, 1)")),
+    ("estimate", {"epsilon": 1}, ("reject", "must be in (0, 1)")),
+    ("estimate", {"delta": "-1/2"}, ("reject", "must be in (0, 1)")),
+    ("estimate", {"delta": 1}, ("reject", "must be in (0, 1)")),
+    ("evaluate", {"method": "estimate", "epsilon": 2},
+     ("reject", "must be in (0, 1)")),
+    ("evaluate", {"budget_nodes": 2, "delta": 0},
+     ("reject", "must be in (0, 1)")),
+    ("evaluate", {"epsilon": -1}, ("reject", "must be in (0, 1)")),
+    ("sweep", {"budget_nodes": 2, "epsilon": "3/2"},
+     ("reject", "must be in (0, 1)")),
+    ("estimate", {"delta": 2}, ("reject", "must be in (0, 1)")),
+    ("evaluate", {"relative_error": 0}, ("reject", "must be positive")),
+    ("sweep", {"budget_nodes": 2, "relative_error": -1},
+     ("reject", "must be positive")),
+    ("estimate", {"estimator": "bogus"}, ("reject", "unknown estimator")),
+    ("estimate", {"relative_error": "1/10"}, ("accept", "adaptive")),
+]
+
+#: The CLI verb and flag that carry each op and param.
+_CLI_VERBS = {"estimate": "estimate", "evaluate": "compile",
+              "sweep": "sweep"}
+_CLI_FLAGS = {"budget_nodes": "--budget", "estimator": "--engine",
+              "relative_error": "--relative-error"}
+
+
+def _policy_outcome(params: dict) -> tuple:
+    knobs = {key: value if key in ("budget_nodes", "estimator")
+             else Fraction(str(value))
+             for key, value in params.items() if key != "method"}
+    try:
+        return "accept", EvalPolicy(**knobs).estimator
+    except ValueError as error:
+        return "reject", str(error)
+
+
+def _cli_outcome(op: str, params: dict, capsys) -> tuple:
+    argv = [_CLI_VERBS[op], QUERY, "--p", "2"] + [
+        f"{_CLI_FLAGS.get(key, '--' + key)}={value}"
+        for key, value in params.items() if key != "method"]
+    try:
+        assert main(argv) == 0
+    except SystemExit as exit_:
+        return "reject", str(exit_.code)
+    engine = re.search(r"engine: +(\w+)", capsys.readouterr().out)
+    return "accept", engine.group(1)
+
+
+@pytest.mark.parametrize(
+    "op, params, outcome", KNOB_CASES,
+    ids=[f"{op}-params{i}" for i, (op, _, _) in enumerate(KNOB_CASES)])
 def test_out_of_range_epsilon_delta_is_a_bad_request(front_end, op,
-                                                     params):
+                                                     params, outcome,
+                                                     capsys):
+    """Every knob case gets the same decision from ``EvalPolicy``,
+    from this front end and from the CLI: out-of-range knobs are a
+    bad request (a ``repro:`` exit on the command line), and accepted
+    knobs resolve to the same estimator everywhere."""
+    verdict, detail = outcome
+    policy_verdict, policy_detail = _policy_outcome(params)
+    assert policy_verdict == verdict
+    assert detail in policy_detail
     response = _call(front_end, op, query=QUERY, p=2, **params)
-    assert _error_code(response) == "bad-request", response
-    assert "must be in (0, 1)" in response["error"]["message"]
+    cli_verdict, cli_detail = _cli_outcome(op, params, capsys)
+    assert cli_verdict == verdict
+    if verdict == "reject":
+        assert _error_code(response) == "bad-request", response
+        assert detail in response["error"]["message"]
+    else:
+        assert response["ok"], response
+        assert response["result"]["engine"] == detail
+        assert cli_detail == detail
 
 
 # ----------------------------------------------------------------------

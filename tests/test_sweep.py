@@ -92,18 +92,6 @@ class TestProbabilitySweep:
         for approx, truth in zip(values, exact):
             assert abs(approx - float(truth)) < 1e-9
 
-    def test_multiprocessing_chunks_match_serial(self):
-        formula, maps = endpoint_grid(k=7)
-        serial = probability_sweep(formula, maps)
-        parallel = probability_sweep(formula, maps, processes=2)
-        assert parallel == serial
-
-    def test_multiprocessing_rejects_callables(self):
-        formula, maps = endpoint_grid(k=2)
-        with pytest.raises(ValueError, match="callables"):
-            probability_sweep(
-                formula, [maps[0], lambda v: F(1, 2)], processes=2)
-
 
 class TestBlockMatrixGrid:
     def test_endpoint_grid_matches_per_entry(self):
